@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -132,6 +133,9 @@ def _execute(command: str, cfg: RunConfig, args: argparse.Namespace) -> str:
         result = run_packet_power_sweep(sweep_spec(cfg, SweepAxis.POWER_DBM))
         return emit_table(fit_family_from_power_sweep(result), fmt)
     if command == "predict":
+        for flag in ("loss", "power"):
+            if not math.isfinite(getattr(args, flag)):
+                raise ConfigError(f"{flag}: must be a finite number")
         return emit_table(predict_with_oracle(args.loss, args.power, curve_family(cfg)), fmt)
     if command == "adapt":
         return emit_table(run_adaptation(adaptation_policy(cfg), curve_family(cfg)), fmt)
@@ -154,7 +158,10 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(json.dumps(config_to_dict(cfg), indent=2) + "\n")
             return EXIT_OK
         document = _execute(args.command, cfg, args)
-        write_document(document, cfg.out)
+        try:
+            write_document(document, cfg.out)
+        except OSError as exc:
+            raise ConfigError(f"out: cannot write {cfg.out or 'stdout'}: {exc}") from exc
         return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -268,6 +268,11 @@ def adaptation_policy(cfg: RunConfig) -> AdaptationPolicy:
 
 
 def sweep_spec(cfg: RunConfig, axis: SweepAxis) -> SweepSpec:
+    if axis is SweepAxis.UAV_COUNT:
+        smallest = min(cfg.count_axis)
+        max_pairs = smallest * (smallest - 1)
+        _require(cfg.num_pairs <= max_pairs, "num_pairs",
+                 f"must be <= {max_pairs} for the smallest count_axis value, {smallest} UAVs")
     axis_values = {
         SweepAxis.POWER_DBM: cfg.power_axis_dbm,
         SweepAxis.FREQUENCY_HZ: cfg.frequency_axis_hz,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -175,11 +176,24 @@ def emit_table(result, fmt: OutputFormat) -> str:
 
 
 def write_document(text: str, out_path: str | None) -> None:
-    """Write to stdout, or atomically (write-then-rename) to a file."""
+    """Write to stdout, or atomically to a file through a unique temp file and a rename.
+
+    A failed write removes the temp file, so no partial document is left.
+    """
     if out_path is None:
         sys.stdout.write(text)
         return
     path = Path(out_path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            # mkstemp creates the file 0600; give the document the mode a plain
+            # open() would: 0666 less the umask, which is read by setting it.
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.chmod(handle.fileno(), 0o666 & ~umask)
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

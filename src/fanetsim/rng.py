@@ -7,6 +7,8 @@ bit-identical results on every run and platform.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -39,19 +41,54 @@ class SplitMix64:
         """Uniform double in [0, 1) with 53-bit precision."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def sample_without_replacement(self, n: int, k: int) -> list[int]:
-        """Draw k distinct indices from range(n), in emission order.
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms of the stream, as one float64 array.
 
-        Each draw removes the chosen element by position (shift-down),
-        so the emitted order is fully determined by the generator state.
+        SplitMix64 is counter-based: output k is ``mix(state + k*gamma)``, so
+        the block is one uint64 array expression (numpy wraps it mod 2**64)
+        and equals ``count`` calls of :meth:`next_uniform`.
         """
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        z = np.uint64(self.state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self.state = (self.state + count * _GAMMA) & MASK64
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    def sample_without_replacement(self, n: int, k: int) -> list[int]:
+        """Draw k distinct indices from range(n), in emission order (see :func:`distinct_indices`)."""
         if n < 0 or k < 0:
             raise ValueError("n and k must be non-negative")
         if k > n:
             raise ValueError(f"cannot draw {k} distinct indices from a population of {n}")
-        candidates = list(range(n))
-        drawn: list[int] = []
-        for _ in range(k):
-            idx = int(self.next_uniform() * len(candidates))
-            drawn.append(candidates.pop(idx))
-        return drawn
+        return distinct_indices(n, self.uniforms(k))
+
+
+def distinct_indices(n: int, uniforms: np.ndarray) -> list[int]:
+    """Distinct indices from range(n), one per uniform; needs ``len(uniforms) <= n``.
+
+    Draw t picks position ``int(u_t * (n - t))`` of the slots not yet drawn,
+    as popping that position from ``list(range(n))`` would, so the emitted
+    order is fully determined by the uniforms. Only the k drawn slots are
+    stored, sorted: O(k) memory and O(k log k) comparisons, whatever n is.
+    """
+    removed: list[int] = []  # drawn slots, ascending
+    drawn: list[int] = []
+    for t, u in enumerate(uniforms.tolist()):
+        idx = int(u * (n - t))
+        # removed[i] - i counts the free slots below removed[i] and never
+        # decreases, so the number of drawn slots below the answer is the
+        # number of i with removed[i] - i <= idx: a binary search finds it.
+        lo, hi = 0, len(removed)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if removed[mid] - mid <= idx:
+                lo = mid + 1
+            else:
+                hi = mid
+        slot = idx + lo
+        removed.insert(lo, slot)
+        drawn.append(slot)
+    return drawn

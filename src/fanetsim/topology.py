@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from fanetsim.rng import SplitMix64
+from fanetsim.rng import SplitMix64, distinct_indices
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,11 @@ class Topology:
 def generate_topology(seed: int, num_uavs: int, area: AreaSpec, num_pairs: int) -> Topology:
     """Generate node coordinates and communicating pairs from a single seed.
 
-    Draw order is fixed (x before y, node 0 first) and the candidate pair
-    list is the lexicographic ordering of all directional pairs (i, j),
-    i != j, so the same seed regenerates the identical topology anywhere.
+    Draw order is fixed (x before y, node 0 first, then one draw per pair)
+    and pair index idx names the idx-th directional pair (i, j), i != j, in
+    lexicographic order, so the same seed regenerates the identical topology
+    anywhere. Time and memory are O(n + k log k): the n(n-1) candidate pairs
+    are decoded arithmetically, never listed.
     """
     if num_uavs < 2:
         raise ValueError("num_uavs must be at least 2")
@@ -52,17 +54,13 @@ def generate_topology(seed: int, num_uavs: int, area: AreaSpec, num_pairs: int) 
     if num_pairs < 0 or num_pairs > max_pairs:
         raise ValueError(f"num_pairs must be in [0, {max_pairs}] for {num_uavs} UAVs")
 
-    rng = SplitMix64(seed)
-    positions = []
-    for _ in range(num_uavs):
-        x = rng.next_uniform() * area.width_m
-        y = rng.next_uniform() * area.height_m
-        positions.append((x, y))
-
-    all_pairs = [(i, j) for i in range(num_uavs) for j in range(num_uavs) if i != j]
-    chosen = rng.sample_without_replacement(len(all_pairs), num_pairs)
-    pairs = tuple(all_pairs[idx] for idx in chosen)
-    return Topology(tuple(positions), pairs, seed, area)
+    draws = SplitMix64(seed).uniforms(2 * num_uavs + num_pairs)
+    xy = draws[: 2 * num_uavs].reshape(num_uavs, 2) * (area.width_m, area.height_m)
+    pairs = []
+    for idx in distinct_indices(max_pairs, draws[2 * num_uavs :]):
+        i, r = divmod(idx, num_uavs - 1)
+        pairs.append((i, r + (r >= i)))
+    return Topology(tuple(map(tuple, xy.tolist())), tuple(pairs), seed, area)
 
 
 def distance(topology: Topology, i: int, j: int) -> float:

@@ -173,3 +173,33 @@ def test_json_format_sweep_parses(capsys):
     doc = json.loads(out)
     assert doc["spec"]["base_seed"] == 42
     assert len(doc["rows"]) == 12
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["predict", "--loss", "20", "--power", "nan"], "power: must be a finite number"),
+        (["predict", "--loss", "20", "--power", "inf"], "power: must be a finite number"),
+        (["predict", "--loss", "nan", "--power", "9"], "loss: must be a finite number"),
+        (["predict", "--loss", "inf", "--power", "9"], "loss: must be a finite number"),
+        (
+            ["sweep-count", "--num-pairs", "30"],
+            "num_pairs: must be <= 20 for the smallest count_axis value, 5 UAVs",
+        ),
+    ],
+)
+def test_invalid_flag_values_are_config_errors(argv, message, capsys):
+    status, out, err = _run(argv, capsys)
+    assert status == 2
+    assert out == ""
+    assert err == f"configuration error: {message}\n"
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "fig.csv"
+    status, out, err = _run(["sweep-power", "--out", str(target)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("configuration error: out: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,8 @@
 """Deterministic document emission."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -145,3 +147,22 @@ def test_write_document_atomic_to_file(tmp_path):
     write_document("a,b\n1,2\n", str(target))
     assert target.read_text(encoding="utf-8") == "a,b\n1,2\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_write_document_failure_removes_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        write_document("a,b\n", str(target))
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
+
+
+def test_write_document_file_mode_follows_umask(tmp_path):
+    target = tmp_path / "out.csv"
+    previous = os.umask(0o027)
+    try:
+        write_document("a,b\n", str(target))
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640

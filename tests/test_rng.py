@@ -1,6 +1,9 @@
 """SplitMix64 reference behaviour and index sampling."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanetsim.rng import MASK64, SplitMix64
 
@@ -120,3 +123,49 @@ def test_sample_negative_arguments_rejected():
         SplitMix64(1).sample_without_replacement(-1, 0)
     with pytest.raises(ValueError):
         SplitMix64(1).sample_without_replacement(3, -1)
+
+
+def _list_pop_sample(rng: SplitMix64, n: int, k: int) -> list[int]:
+    """The original O(n) sampler: pop position int(u * len) from a candidate list."""
+    candidates = list(range(n))
+    return [candidates.pop(int(rng.next_uniform() * len(candidates))) for _ in range(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, MASK64), n=st.integers(0, 300), data=st.data())
+def test_sample_matches_list_pop_reference(seed, n, data):
+    k = data.draw(st.integers(0, n))
+    rng, reference = SplitMix64(seed), SplitMix64(seed)
+    assert rng.sample_without_replacement(n, k) == _list_pop_sample(reference, n, k)
+    assert rng.state == reference.state
+
+
+def test_sample_from_huge_population():
+    drawn = SplitMix64(5).sample_without_replacement(10**12, 1000)
+    assert len(set(drawn)) == 1000
+    assert all(0 <= idx < 10**12 for idx in drawn)
+
+
+_GAMMA = 0x9E3779B97F4A7C15
+
+# Seeds a few gammas short of the 2**64 wrap, so the block's counters wrap
+# mid-block, plus both ends of the state space.
+WRAP_SEEDS = [(-m * _GAMMA + d) % 2**64 for m in (1, 2, 3) for d in (-1, 0, 1)] + [0, 42, MASK64]
+
+
+@pytest.mark.parametrize("seed", WRAP_SEEDS)
+@pytest.mark.parametrize("count", [0, 1, 5, 257])
+def test_uniforms_block_equals_scalar_draws(seed, count):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    values = block.uniforms(count)
+    assert values.dtype == np.float64
+    assert values.tolist() == [scalar.next_uniform() for _ in range(count)]
+    assert block.state == scalar.state
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_uniforms_negative_count_rejected():
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError):
+        rng.uniforms(-1)
+    assert rng.state == 1

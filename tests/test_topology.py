@@ -5,8 +5,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanetsim import AreaSpec, Topology, distance, generate_topology, parse_topology, serialize_topology
+from fanetsim.rng import MASK64, SplitMix64
 
 
 def test_area_requires_positive_dimensions():
@@ -125,3 +128,43 @@ def test_bounds_hold_for_randomized_parameterizations():
         t = generate_topology(seed, num_uavs, AreaSpec(width, height), num_pairs)
         assert all(0.0 <= x <= width and 0.0 <= y <= height for x, y in t.positions)
         assert len(set(t.pairs)) == num_pairs
+
+
+def _all_pairs_topology(seed, num_uavs, area, num_pairs):
+    """The original generator: scalar draws and a list of all n(n-1) ordered pairs."""
+    rng = SplitMix64(seed)
+    positions = []
+    for _ in range(num_uavs):
+        x = rng.next_uniform() * area.width_m
+        y = rng.next_uniform() * area.height_m
+        positions.append((x, y))
+    all_pairs = [(i, j) for i in range(num_uavs) for j in range(num_uavs) if i != j]
+    pairs = [all_pairs.pop(int(rng.next_uniform() * len(all_pairs))) for _ in range(num_pairs)]
+    return Topology(tuple(positions), tuple(pairs), seed, area)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, MASK64), st.sampled_from([0, MASK64])),
+    num_uavs=st.integers(2, 25),
+    width=st.floats(0.5, 5000.0),
+    height=st.floats(0.5, 5000.0),
+    data=st.data(),
+)
+def test_generation_matches_all_pairs_reference(seed, num_uavs, width, height, data):
+    num_pairs = data.draw(st.integers(0, num_uavs * (num_uavs - 1)))
+    area = AreaSpec(width, height)
+    t = generate_topology(seed, num_uavs, area, num_pairs)
+    assert t == _all_pairs_topology(seed, num_uavs, area, num_pairs)
+    assert all(type(x) is float and type(y) is float for x, y in t.positions)
+
+
+def test_huge_swarm_generates_without_the_pair_list():
+    # 10**10 ordered pairs: the all-pairs list could not be built.
+    t = generate_topology(3, 100_000, AreaSpec(1500.0, 1500.0), 10)
+    assert t.num_uavs == 100_000
+    assert len(set(t.pairs)) == 10
+    for src, dst in t.pairs:
+        assert src != dst
+        assert 0 <= src < 100_000
+        assert 0 <= dst < 100_000
