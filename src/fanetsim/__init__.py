@@ -44,6 +44,7 @@ from fanetsim.link import (
     mean_pair_loss_percent,
     mw_to_dbm,
     packet_loss_prob,
+    pair_mean_losses_percent,
 )
 from fanetsim.rng import SplitMix64
 from fanetsim.sweeps import (
@@ -63,6 +64,7 @@ from fanetsim.sweeps import (
     run_count_sweep,
     run_frequency_sweep,
     run_packet_power_sweep,
+    run_sweep,
 )
 from fanetsim.topology import (
     AreaSpec,

@@ -29,13 +29,7 @@ from fanetsim.config import (
 from fanetsim.curves import fit_family_from_power_sweep, predict_with_oracle
 from fanetsim.link import BerModel
 from fanetsim.output import OutputFormat, emit_table, write_document
-from fanetsim.sweeps import (
-    SweepAxis,
-    run_area_sweep,
-    run_count_sweep,
-    run_frequency_sweep,
-    run_packet_power_sweep,
-)
+from fanetsim.sweeps import SweepAxis, run_sweep
 from fanetsim.topology import generate_topology, serialize_topology
 
 EXIT_OK = 0
@@ -53,6 +47,12 @@ _SUBCOMMANDS = (
     ("predict", "packet size for a target loss and power"),
     ("adapt", "run the adaptive-transmission controller"),
 )
+_SWEEP_AXES = {
+    "sweep-power": SweepAxis.POWER_DBM,
+    "sweep-frequency": SweepAxis.FREQUENCY_HZ,
+    "sweep-area": SweepAxis.AREA_SIDE_M,
+    "sweep-count": SweepAxis.UAV_COUNT,
+}
 
 
 def _int_list(text: str) -> list[int]:
@@ -121,16 +121,10 @@ def _execute(command: str, cfg: RunConfig, args: argparse.Namespace) -> str:
             raise ConfigError("format: topology documents are json only")
         t = generate_topology(cfg.seed, cfg.num_uavs, area_spec(cfg), cfg.num_pairs)
         return serialize_topology(t)
-    if command == "sweep-power":
-        return emit_table(run_packet_power_sweep(sweep_spec(cfg, SweepAxis.POWER_DBM)), fmt)
-    if command == "sweep-frequency":
-        return emit_table(run_frequency_sweep(sweep_spec(cfg, SweepAxis.FREQUENCY_HZ)), fmt)
-    if command == "sweep-area":
-        return emit_table(run_area_sweep(sweep_spec(cfg, SweepAxis.AREA_SIDE_M)), fmt)
-    if command == "sweep-count":
-        return emit_table(run_count_sweep(sweep_spec(cfg, SweepAxis.UAV_COUNT)), fmt)
+    if command in _SWEEP_AXES:
+        return emit_table(run_sweep(sweep_spec(cfg, _SWEEP_AXES[command])), fmt)
     if command == "fit":
-        result = run_packet_power_sweep(sweep_spec(cfg, SweepAxis.POWER_DBM))
+        result = run_sweep(sweep_spec(cfg, SweepAxis.POWER_DBM))
         return emit_table(fit_family_from_power_sweep(result), fmt)
     if command == "predict":
         for flag in ("loss", "power"):

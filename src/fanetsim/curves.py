@@ -100,7 +100,10 @@ def invert_curve(curve: LossCurve, loss_percent: float) -> float:
     """Packet size (real-valued bits) at which the curve reaches the given loss."""
     if curve.slope == 0:
         raise ValueError("curve with zero slope is not invertible")
-    return math.exp((loss_percent - curve.intercept) / curve.slope)
+    try:
+        return math.exp((loss_percent - curve.intercept) / curve.slope)
+    except OverflowError:
+        raise ValueError(f"packet size for {loss_percent:g}% loss overflows a double") from None
 
 
 def _curve_for_power(family: CurveFamily, power_dbm: float) -> LossCurve:

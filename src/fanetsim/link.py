@@ -56,8 +56,15 @@ class LinkQuality:
     loss_prob: float
 
 
+def _from_db(value_db: float, quantity: str, unit: str) -> float:
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{quantity} of {value_db:g} {unit} overflows a double on the linear scale") from None
+
+
 def dbm_to_mw(power_dbm: float) -> float:
-    return 10.0 ** (power_dbm / 10.0)
+    return _from_db(power_dbm, "power", "dBm")
 
 
 def mw_to_dbm(power_mw: float) -> float:
@@ -111,26 +118,39 @@ def packet_loss_prob(ber: float, packet_size_bits: int) -> float:
     return 1.0 - (1.0 - ber) ** packet_size_bits
 
 
-def link_quality(distance_m: float, radio: RadioParams, packet_size_bits: int) -> LinkQuality:
-    """Chain TX power -> Friis gain -> RX power -> SNR -> BER -> packet loss."""
+def _budget(distance_m: float, radio: RadioParams) -> tuple[float, float, float, float]:
+    """Chain TX power -> Friis gain -> RX power -> SNR -> BER: (rx dBm, SNR dB, SNR linear, BER)."""
     if distance_m <= 0:
         raise ValueError("distance must be positive")
     gain = friis_gain_linear(distance_m, radio.frequency_hz)
     rx_power_mw = dbm_to_mw(radio.tx_power_dbm) * gain
     rx_power_dbm = mw_to_dbm(rx_power_mw)
     snr_db = rx_power_dbm - radio.noise_floor_dbm
-    snr_linear = 10.0 ** (snr_db / 10.0)
-    ber = ber_from_snr(snr_linear, radio.ber_model)
-    loss_prob = packet_loss_prob(ber, packet_size_bits)
-    return LinkQuality(rx_power_dbm, snr_db, snr_linear, ber, loss_prob)
+    snr_linear = _from_db(snr_db, "SNR", "dB")
+    return rx_power_dbm, snr_db, snr_linear, ber_from_snr(snr_linear, radio.ber_model)
+
+
+def link_quality(distance_m: float, radio: RadioParams, packet_size_bits: int) -> LinkQuality:
+    """Chain TX power -> Friis gain -> RX power -> SNR -> BER -> packet loss."""
+    rx_power_dbm, snr_db, snr_linear, ber = _budget(distance_m, radio)
+    return LinkQuality(rx_power_dbm, snr_db, snr_linear, ber, packet_loss_prob(ber, packet_size_bits))
+
+
+def pair_mean_losses_percent(distances: list[float], radio: RadioParams, sizes: tuple[int, ...]) -> list[float]:
+    """mean_pair_loss_percent at each packet size, from one BER per pair distance."""
+    if not distances:
+        raise ValueError("topology has no communicating pairs")
+    bers = [_budget(d, radio)[3] for d in distances]
+    means = []
+    for size in sizes:
+        total = 0.0
+        for ber in bers:
+            total += packet_loss_prob(ber, size) * 100.0
+        means.append(total / len(bers))
+    return means
 
 
 def mean_pair_loss_percent(topology: Topology, radio: RadioParams, packet_size_bits: int) -> float:
     """Arithmetic mean of per-pair loss probabilities, in percent."""
-    if not topology.pairs:
-        raise ValueError("topology has no communicating pairs")
-    total = 0.0
-    for src, dst in topology.pairs:
-        d = distance(topology, src, dst)
-        total += link_quality(d, radio, packet_size_bits).loss_prob * 100.0
-    return total / len(topology.pairs)
+    distances = [distance(topology, src, dst) for src, dst in topology.pairs]
+    return pair_mean_losses_percent(distances, radio, (packet_size_bits,))[0]

@@ -13,9 +13,9 @@ from itertools import combinations
 
 import numpy as np
 
-from fanetsim.link import RadioParams, mean_pair_loss_percent
+from fanetsim.link import RadioParams, pair_mean_losses_percent
 from fanetsim.rng import MASK64
-from fanetsim.topology import AreaSpec, Topology, generate_topology
+from fanetsim.topology import AreaSpec, distance, generate_topology
 
 DEFAULT_PACKET_SIZES = (10, 100, 1000, 10000)
 DEFAULT_POWER_AXIS_DBM = (5.0, 7.0, 9.0)
@@ -78,73 +78,72 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _replicate_seed(base_seed: int, r: int) -> int:
-    return (base_seed + r) & MASK64
-
-
-def _require_axis(spec: SweepSpec, axis: SweepAxis) -> None:
+def _require_axis(spec: SweepSpec, axis: SweepAxis) -> SweepSpec:
     if spec.axis is not axis:
         raise ValueError(f"spec axis is {spec.axis.value}, expected {axis.value}")
+    return spec
 
 
-def _assemble(spec: SweepSpec, rows: list[SweepRow]) -> SweepResult:
-    # Cells are independent; sorting makes assembly order-irrelevant.
-    rows.sort(key=lambda row: (row.axis_value, row.packet_size_bits))
+def _grid_point(spec: SweepSpec, value: float) -> tuple[RadioParams, int, AreaSpec]:
+    """The radio, swarm size and flight area that one axis value stands for."""
+    if spec.axis is SweepAxis.POWER_DBM:
+        return replace(spec.radio, tx_power_dbm=value), spec.num_uavs, spec.area
+    if spec.axis is SweepAxis.FREQUENCY_HZ:
+        return replace(spec.radio, frequency_hz=value), spec.num_uavs, spec.area
+    if spec.axis is SweepAxis.AREA_SIDE_M:
+        return spec.radio, spec.num_uavs, AreaSpec(value, value)
+    count = int(value)
+    if count != value or count < 2:
+        raise ValueError(f"UAV count axis values must be integers >= 2, got {value}")
+    return spec.radio, count, spec.area
+
+
+def _pair_distances(spec: SweepSpec, r: int, num_uavs: int, area: AreaSpec) -> list[float]:
+    """Pair distances of replicate r (seed base_seed + r), in pair order; coincident UAVs are named."""
+    topology = generate_topology((spec.base_seed + r) & MASK64, num_uavs, area, spec.num_pairs)
+    distances = []
+    for src, dst in topology.pairs:
+        d = distance(topology, src, dst)
+        if d <= 0:
+            raise ValueError(f"replicate seed {topology.seed}: the UAVs of pair ({src}, {dst}) coincide")
+        distances.append(d)
+    return distances
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Loss vs packet size for each value of the spec's axis.
+
+    Power and frequency values share the replicate topologies; area and count
+    values draw new ones. Each link budget is evaluated once per (replicate,
+    pair, axis value), and its BER gives the loss at every packet size.
+    """
+    distances: dict[tuple[int, AreaSpec], list[list[float]]] = {}
+    rows = []
+    for value in spec.axis_values:
+        radio, num_uavs, area = _grid_point(spec, value)
+        if (num_uavs, area) not in distances:
+            distances[num_uavs, area] = [_pair_distances(spec, r, num_uavs, area) for r in range(spec.replicates)]
+        per_replicate = [pair_mean_losses_percent(d, radio, spec.packet_sizes) for d in distances[num_uavs, area]]
+        label = float(num_uavs) if spec.axis is SweepAxis.UAV_COUNT else value
+        for k, size in enumerate(spec.packet_sizes):
+            losses = [means[k] for means in per_replicate]
+            rows.append(SweepRow(label, size, float(np.mean(losses)), float(np.std(losses))))
     return SweepResult(spec, tuple(rows))
-
-
-def _cell(topologies: list[Topology], radio: RadioParams, size: int) -> tuple[float, float]:
-    losses = [mean_pair_loss_percent(t, radio, size) for t in topologies]
-    return float(np.mean(losses)), float(np.std(losses))
-
-
-def _shared_topologies(spec: SweepSpec) -> list[Topology]:
-    return [
-        generate_topology(_replicate_seed(spec.base_seed, r), spec.num_uavs, spec.area, spec.num_pairs)
-        for r in range(spec.replicates)
-    ]
 
 
 def run_packet_power_sweep(spec: SweepSpec) -> SweepResult:
     """Loss vs packet size for each transmit power, on shared replicate topologies."""
-    _require_axis(spec, SweepAxis.POWER_DBM)
-    topologies = _shared_topologies(spec)
-    rows = []
-    for power in spec.axis_values:
-        radio = replace(spec.radio, tx_power_dbm=power)
-        for size in spec.packet_sizes:
-            mean, std = _cell(topologies, radio, size)
-            rows.append(SweepRow(power, size, mean, std))
-    return _assemble(spec, rows)
+    return run_sweep(_require_axis(spec, SweepAxis.POWER_DBM))
 
 
 def run_frequency_sweep(spec: SweepSpec) -> SweepResult:
     """Loss vs packet size for each carrier frequency, at fixed power."""
-    _require_axis(spec, SweepAxis.FREQUENCY_HZ)
-    topologies = _shared_topologies(spec)
-    rows = []
-    for frequency in spec.axis_values:
-        radio = replace(spec.radio, frequency_hz=frequency)
-        for size in spec.packet_sizes:
-            mean, std = _cell(topologies, radio, size)
-            rows.append(SweepRow(frequency, size, mean, std))
-    return _assemble(spec, rows)
+    return run_sweep(_require_axis(spec, SweepAxis.FREQUENCY_HZ))
 
 
 def run_area_sweep(spec: SweepSpec) -> SweepResult:
     """Loss vs packet size for square flight areas of different side lengths."""
-    _require_axis(spec, SweepAxis.AREA_SIDE_M)
-    rows = []
-    for side in spec.axis_values:
-        area = AreaSpec(side, side)
-        topologies = [
-            generate_topology(_replicate_seed(spec.base_seed, r), spec.num_uavs, area, spec.num_pairs)
-            for r in range(spec.replicates)
-        ]
-        for size in spec.packet_sizes:
-            mean, std = _cell(topologies, spec.radio, size)
-            rows.append(SweepRow(side, size, mean, std))
-    return _assemble(spec, rows)
+    return run_sweep(_require_axis(spec, SweepAxis.AREA_SIDE_M))
 
 
 def run_count_sweep(spec: SweepSpec) -> SweepResult:
@@ -153,25 +152,7 @@ def run_count_sweep(spec: SweepSpec) -> SweepResult:
     Under a pure free-space model the count only changes sampling
     variability, so no monotonic trend is asserted or implied.
     """
-    _require_axis(spec, SweepAxis.UAV_COUNT)
-    rows = []
-    for value in spec.axis_values:
-        count = int(value)
-        if count != value or count < 2:
-            raise ValueError(f"UAV count axis values must be integers >= 2, got {value}")
-        if spec.num_pairs > count * (count - 1):
-            raise ValueError(
-                f"num_pairs={spec.num_pairs} infeasible for {count} UAVs "
-                f"({count * (count - 1)} ordered pairs available)"
-            )
-        topologies = [
-            generate_topology(_replicate_seed(spec.base_seed, r), count, spec.area, spec.num_pairs)
-            for r in range(spec.replicates)
-        ]
-        for size in spec.packet_sizes:
-            mean, std = _cell(topologies, spec.radio, size)
-            rows.append(SweepRow(float(count), size, mean, std))
-    return _assemble(spec, rows)
+    return run_sweep(_require_axis(spec, SweepAxis.UAV_COUNT))
 
 
 @dataclass(frozen=True)

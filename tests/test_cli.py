@@ -1,10 +1,15 @@
 """End-to-end CLI behaviour: subcommands, exit codes, golden datasets."""
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fanetsim.cli import main
+from fanetsim.cli import _SUBCOMMANDS, main
 
 ALL_SUBCOMMAND_ARGS = [
     ["topology", "--format", "json"],
@@ -203,3 +208,90 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     assert err.startswith("configuration error: out: ")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+_OVERFLOWS = "overflows a double on the linear scale"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep-power", "--power-axis-dbm", "3000,3100"], rf"power of 3100 dBm {_OVERFLOWS}"),
+        (["sweep-power", "--noise-floor-dbm", "-4000"], rf"SNR of [0-9.]+ dB {_OVERFLOWS}"),
+        (["sweep-frequency", "--tx-power-dbm", "1e308"], rf"power of 1e\+308 dBm {_OVERFLOWS}"),
+        (["fit", "--power-axis-dbm", "5,1e308"], rf"power of 1e\+308 dBm {_OVERFLOWS}"),
+        (["predict", "--loss", "1e308", "--power", "9"], r"packet size for 1e\+308% loss overflows a double"),
+        (["sweep-area", "--area-axis-m", "1e-320"], r"replicate seed 42: the UAVs of pair \(\d+, \d+\) coincide"),
+    ],
+)
+def test_domain_errors_exit_3_naming_the_quantity(argv, message, capsys):
+    status, out, err = _run(argv, capsys)
+    assert status == 3
+    assert out == ""
+    assert re.fullmatch(f"error: {message}\n", err), err
+
+
+# Half the drawn numbers are edge values: +-1e308 and 1e-320 overflow or
+# underflow a double in the link chain; 0, -1, nan and +-inf probe validation.
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["1e308", "-1e308", "1e-320"]),
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf"]),
+    st.integers(-3, 40).map(str),
+    st.floats(-50.0, 50.0, allow_nan=False).map(repr),
+)
+_FUZZ_INTS = st.integers(-3, 40).map(str)
+_FUZZ_LISTS = st.lists(_FUZZ_VALUES, min_size=1, max_size=4, unique=True).map(
+    lambda v: ",".join(sorted(v, key=float))  # mostly increasing, as axes must be
+)
+_FUZZ_FLAGS = {
+    "--seed": _FUZZ_INTS,
+    "--num-uavs": _FUZZ_INTS,
+    "--num-pairs": _FUZZ_INTS,
+    "--replicates": st.integers(-1, 3).map(str),
+    "--area-width-m": _FUZZ_VALUES,
+    "--area-height-m": _FUZZ_VALUES,
+    "--tx-power-dbm": _FUZZ_VALUES,
+    "--noise-floor-dbm": _FUZZ_VALUES,
+    "--frequency-hz": _FUZZ_VALUES,
+    "--ber-model": st.sampled_from(["exp-half-snr", "exp-snr"]),
+    "--packet-sizes-bits": st.lists(st.integers(-2, 20000), min_size=1, max_size=4).map(
+        lambda v: ",".join(map(str, v))
+    ),
+    "--power-axis-dbm": _FUZZ_LISTS,
+    "--frequency-axis-hz": _FUZZ_LISTS,
+    "--area-axis-m": _FUZZ_LISTS,
+    "--count-axis": st.lists(_FUZZ_INTS, min_size=1, max_size=4, unique=True).map(
+        lambda v: ",".join(sorted(v, key=int))
+    ),
+    "--initial-packet-bits": _FUZZ_INTS,
+    "--growth-step-bits": _FUZZ_INTS,
+    "--backoff-bits": _FUZZ_INTS,
+    "--max-ticks": _FUZZ_INTS,
+    "--format": st.sampled_from(["csv", "json"]),
+    "--loss": _FUZZ_VALUES,
+    "--power": _FUZZ_VALUES,
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    argv = [draw(st.sampled_from([name for name, _ in _SUBCOMMANDS]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FUZZ_FLAGS)), min_size=1, max_size=3, unique=True)):
+        argv.append(f"{flag}={draw(_FUZZ_FLAGS[flag])}")
+    if argv[0] == "predict" and draw(st.booleans()):
+        argv += [f"--loss={draw(_FUZZ_VALUES)}", f"--power={draw(_FUZZ_VALUES)}"]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_fuzz_argv())
+def test_fuzzed_argv_exits_within_the_contract(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            status = exc.code
+    assert status in (0, 2, 3, 4), (argv, stderr.getvalue())
+    if status in (3, 4):
+        assert stderr.getvalue().count("\n") == 1, (argv, stderr.getvalue())

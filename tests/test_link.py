@@ -200,6 +200,16 @@ def test_chain_rejects_nonpositive_distance():
         link_quality(0.0, RadioParams(), 100)
 
 
+def test_overflow_is_a_value_error_naming_the_quantity():
+    with pytest.raises(ValueError, match=r"^power of 3100 dBm overflows"):
+        dbm_to_mw(3100.0)
+    with pytest.raises(ValueError, match=r"^power of 1e\+308 dBm overflows"):
+        link_quality(100.0, RadioParams(tx_power_dbm=1e308), 10)
+    with pytest.raises(ValueError, match=r"^SNR of [0-9.]+ dB overflows"):
+        link_quality(100.0, RadioParams(noise_floor_dbm=-4000.0), 10)
+    assert dbm_to_mw(3000.0) == pytest.approx(1e300, rel=1e-12)
+
+
 def test_radio_params_validation_and_defaults():
     radio = RadioParams()
     assert radio.tx_power_dbm == 7.0

@@ -1,19 +1,27 @@
 """Sweep grids: consistency, trends, replicate statistics, power ratios."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanetsim import (
     AreaSpec,
     RadioParams,
     SweepResult,
     SweepRow,
+    distance,
     generate_topology,
     mean_pair_loss_percent,
+    pair_mean_losses_percent,
     power_ratio_report,
     run_area_sweep,
     run_count_sweep,
     run_frequency_sweep,
     run_packet_power_sweep,
+    run_sweep,
 )
 from fanetsim.sweeps import SweepAxis, SweepSpec
 
@@ -250,3 +258,56 @@ def test_power_ratio_report_requires_power_axis_and_two_powers():
     )
     with pytest.raises(ValueError):
         power_ratio_report(single)
+
+
+def _reference_sweep(spec):
+    """The per-cell loop: mean_pair_loss_percent per replicate topology, then np.mean / np.std."""
+    rows = []
+    for value in spec.axis_values:
+        radio, num_uavs, area = spec.radio, spec.num_uavs, spec.area
+        if spec.axis is SweepAxis.POWER_DBM:
+            radio = replace(radio, tx_power_dbm=value)
+        elif spec.axis is SweepAxis.FREQUENCY_HZ:
+            radio = replace(radio, frequency_hz=value)
+        elif spec.axis is SweepAxis.AREA_SIDE_M:
+            area = AreaSpec(value, value)
+        else:
+            num_uavs = int(value)
+        topologies = [
+            generate_topology(spec.base_seed + r, num_uavs, area, spec.num_pairs) for r in range(spec.replicates)
+        ]
+        for size in spec.packet_sizes:
+            losses = [mean_pair_loss_percent(t, radio, size) for t in topologies]
+            rows.append(SweepRow(float(value), size, float(np.mean(losses)), float(np.std(losses))))
+    return SweepResult(spec, tuple(rows))
+
+
+_AXIS_VALUES = {
+    SweepAxis.POWER_DBM: st.floats(-20.0, 20.0, allow_nan=False),
+    SweepAxis.FREQUENCY_HZ: st.floats(1e8, 6e10),
+    SweepAxis.AREA_SIDE_M: st.floats(10.0, 5000.0),
+    SweepAxis.UAV_COUNT: st.integers(6, 30).map(float),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), axis=st.sampled_from(list(SweepAxis)))
+def test_run_sweep_rows_equal_the_per_cell_reference(data, axis):
+    spec = SweepSpec(
+        base_seed=data.draw(st.integers(0, 2**32)),
+        axis=axis,
+        axis_values=tuple(sorted(data.draw(st.sets(_AXIS_VALUES[axis], min_size=1, max_size=3)))),
+        num_uavs=data.draw(st.integers(6, 25)),
+        num_pairs=data.draw(st.integers(1, 30)),
+        packet_sizes=tuple(sorted(data.draw(st.sets(st.integers(1, 20000), min_size=1, max_size=5)))),
+        replicates=data.draw(st.integers(1, 4)),
+    )
+    assert run_sweep(spec) == _reference_sweep(spec)
+
+
+def test_pair_mean_losses_equal_mean_pair_loss_at_each_size(seed42_topology):
+    dists = [distance(seed42_topology, src, dst) for src, dst in seed42_topology.pairs]
+    radio = RadioParams(tx_power_dbm=5.0)
+    sizes = (1, 10, 100, 1000, 10000, 65536)
+    losses = pair_mean_losses_percent(dists, radio, sizes)
+    assert losses == [mean_pair_loss_percent(seed42_topology, radio, size) for size in sizes]
