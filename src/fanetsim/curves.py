@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 GRID_START_BITS = 10
 GRID_STOP_BITS = 10000
 GRID_STEP_BITS = 10
@@ -69,6 +67,10 @@ def fit_log_curve(points: Sequence[tuple[float, float]], power_dbm: float) -> Lo
 
     slope = cov(ln x, y) / var(ln x), intercept = mean(y) - slope * mean(ln x).
     """
+    # numpy is imported here so that only fitting pays for it. Its log
+    # rounds differently from math.log on a few inputs, so it is kept.
+    import numpy as np
+
     if len(points) < 2:
         raise ValueError("need at least 2 points to fit a curve")
     xs = np.asarray([x for x, _ in points], dtype=float)

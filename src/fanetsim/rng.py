@@ -7,13 +7,16 @@ bit-identical results on every run and platform.
 
 from __future__ import annotations
 
-import numpy as np
-
 MASK64 = (1 << 64) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# Blocks this long or longer are drawn with numpy; shorter ones (every
+# default-config command's) come from the scalar loop, so the commands
+# that draw them never pay numpy's import.
+_NUMPY_BLOCK = 256
 
 
 class SplitMix64:
@@ -41,21 +44,24 @@ class SplitMix64:
         """Uniform double in [0, 1) with 53-bit precision."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next ``count`` uniforms of the stream, as one float64 array.
+    def uniforms(self, count: int) -> list[float]:
+        """The next ``count`` uniforms of the stream, equal to ``count`` calls of :meth:`next_uniform`.
 
-        SplitMix64 is counter-based: output k is ``mix(state + k*gamma)``, so
-        the block is one uint64 array expression (numpy wraps it mod 2**64)
-        and equals ``count`` calls of :meth:`next_uniform`.
+        SplitMix64 is counter-based: output k is ``mix(state + k*gamma)``, so a
+        long block is one uint64 array expression (numpy wraps it mod 2**64).
         """
         if count < 0:
             raise ValueError("count must be non-negative")
+        if count < _NUMPY_BLOCK:
+            return [self.next_uniform() for _ in range(count)]
+        import numpy as np
+
         z = np.uint64(self.state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
         self.state = (self.state + count * _GAMMA) & MASK64
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """Draw k distinct indices from range(n), in emission order (see :func:`distinct_indices`)."""
@@ -66,7 +72,7 @@ class SplitMix64:
         return distinct_indices(n, self.uniforms(k))
 
 
-def distinct_indices(n: int, uniforms: np.ndarray) -> list[int]:
+def distinct_indices(n: int, uniforms: list[float]) -> list[int]:
     """Distinct indices from range(n), one per uniform; needs ``len(uniforms) <= n``.
 
     Draw t picks position ``int(u_t * (n - t))`` of the slots not yet drawn,
@@ -76,7 +82,7 @@ def distinct_indices(n: int, uniforms: np.ndarray) -> list[int]:
     """
     removed: list[int] = []  # drawn slots, ascending
     drawn: list[int] = []
-    for t, u in enumerate(uniforms.tolist()):
+    for t, u in enumerate(uniforms):
         idx = int(u * (n - t))
         # removed[i] - i counts the free slots below removed[i] and never
         # decreases, so the number of drawn slots below the answer is the

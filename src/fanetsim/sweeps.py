@@ -7,11 +7,10 @@ population standard deviation of the per-topology pair-mean loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
-
-import numpy as np
 
 from fanetsim.link import RadioParams, pair_mean_losses_percent
 from fanetsim.rng import MASK64
@@ -110,6 +109,44 @@ def _pair_distances(spec: SweepSpec, r: int, num_uavs: int, area: AreaSpec) -> l
     return distances
 
 
+def _pairwise_sum(values: list[float]) -> float:
+    """Sum in numpy's pairwise order, so that _mean and _std equal np.mean and np.std bit for bit.
+
+    Sequential below 8 values, eight interleaved accumulators up to 128, and
+    above that the two halves (split at a multiple of 8) summed on their own.
+    The loops add plainly because the builtin sum() compensates rounding
+    from Python 3.12 on.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        acc = values[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            acc = [a + v for a, v in zip(acc, values[i : i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in values[tail:]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _mean(values: list[float]) -> float:
+    # numpy's sum starts from 0.0, which turns a sum of -0.0 into 0.0.
+    return (0.0 + _pairwise_sum(values)) / len(values)
+
+
+def _std(values: list[float]) -> float:
+    """Population standard deviation, as np.std computes it."""
+    mean = _mean(values)
+    return math.sqrt(_pairwise_sum([(v - mean) * (v - mean) for v in values]) / len(values))
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Loss vs packet size for each value of the spec's axis.
 
@@ -127,7 +164,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         label = float(num_uavs) if spec.axis is SweepAxis.UAV_COUNT else value
         for k, size in enumerate(spec.packet_sizes):
             losses = [means[k] for means in per_replicate]
-            rows.append(SweepRow(label, size, float(np.mean(losses)), float(np.std(losses))))
+            rows.append(SweepRow(label, size, _mean(losses), _std(losses)))
     return SweepResult(spec, tuple(rows))
 
 
@@ -194,6 +231,6 @@ def power_ratio_report(result: SweepResult) -> tuple[PowerRatioPair, ...]:
             ratio = loss[(low, size)] / loss_high
             cells.append(PowerRatioCell(size, ratio))
             ratios.append(ratio)
-        mean_ratio = float(np.mean(ratios)) if ratios else None
+        mean_ratio = _mean(ratios) if ratios else None
         pairs.append(PowerRatioPair(low, high, high / low, tuple(cells), mean_ratio))
     return tuple(pairs)

@@ -55,12 +55,13 @@ def generate_topology(seed: int, num_uavs: int, area: AreaSpec, num_pairs: int) 
         raise ValueError(f"num_pairs must be in [0, {max_pairs}] for {num_uavs} UAVs")
 
     draws = SplitMix64(seed).uniforms(2 * num_uavs + num_pairs)
-    xy = draws[: 2 * num_uavs].reshape(num_uavs, 2) * (area.width_m, area.height_m)
+    w, h = area.width_m, area.height_m
+    positions = tuple((x * w, y * h) for x, y in zip(draws[0 : 2 * num_uavs : 2], draws[1 : 2 * num_uavs : 2]))
     pairs = []
     for idx in distinct_indices(max_pairs, draws[2 * num_uavs :]):
         i, r = divmod(idx, num_uavs - 1)
         pairs.append((i, r + (r >= i)))
-    return Topology(tuple(map(tuple, xy.tolist())), tuple(pairs), seed, area)
+    return Topology(positions, tuple(pairs), seed, area)
 
 
 def distance(topology: Topology, i: int, j: int) -> float:

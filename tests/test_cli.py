@@ -3,13 +3,22 @@
 import contextlib
 import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanetsim.cli import _SUBCOMMANDS, main
+from fanetsim.config import _CONFIG_KEYS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ALL_SUBCOMMAND_ARGS = [
     ["topology", "--format", "json"],
@@ -295,3 +304,103 @@ def test_fuzzed_argv_exits_within_the_contract(argv):
     assert status in (0, 2, 3, 4), (argv, stderr.getvalue())
     if status in (3, 4):
         assert stderr.getvalue().count("\n") == 1, (argv, stderr.getvalue())
+
+
+def test_default_commands_other_than_fit_never_import_numpy():
+    # Importing numpy costs more than the paper's commands compute, so only
+    # fit (and blocks of 256 or more draws) may load it. fit runs last as a
+    # check that the probe does see numpy once it is loaded.
+    numpy_free = [argv for argv in ALL_SUBCOMMAND_ARGS if argv[0] != "fit"]
+    script = (
+        "import contextlib, io, sys\n"
+        "from fanetsim.cli import main\n"
+        f"for argv in {numpy_free!r} + [['fit']]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    print(argv[0], 'numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{argv[0]} False" for argv in numpy_free] + ["fit True"]
+
+
+# Config-file values: the argv fuzz's numbers as JSON numbers (NaN and
+# Infinity included, which json.loads accepts) plus values of the wrong type.
+_JSON_NUMBERS = st.one_of(
+    st.sampled_from([1e308, -1e308, 1e-320, 0, -1, math.nan, math.inf, -math.inf]),
+    st.integers(-3, 40),
+    st.floats(-50.0, 50.0, allow_nan=False),
+)
+_WRONG_TYPES = st.sampled_from([None, True, "7", "", [], {}, [1, 2], {"a": 1}])
+_JSON_VALUES = st.one_of(_JSON_NUMBERS, _WRONG_TYPES)
+_JSON_INTS = st.one_of(st.integers(-3, 40), _WRONG_TYPES)
+_JSON_AXES = st.one_of(st.lists(_JSON_NUMBERS, max_size=4).map(sorted), _WRONG_TYPES)
+_CURVE_POWERS = st.one_of(st.sampled_from([5.0, 7.0, 9.0]), _JSON_VALUES)
+_JSON_CURVE = st.one_of(
+    st.fixed_dictionaries({"power_dbm": _CURVE_POWERS, "slope": _JSON_VALUES, "intercept": _JSON_VALUES}),
+    st.dictionaries(st.sampled_from(["power_dbm", "slope", "intercept", "extra"]), _JSON_VALUES),
+    _JSON_VALUES,
+)
+_JSON_RUNG = st.one_of(st.tuples(_CURVE_POWERS, _JSON_VALUES).map(list), st.lists(_JSON_VALUES, max_size=3))
+_CONFIG_VALUES = {
+    "seed": st.one_of(_JSON_INTS, st.sampled_from([2**64 - 1, 2**64])),
+    "num_uavs": _JSON_INTS,
+    "area_width_m": _JSON_VALUES,
+    "area_height_m": _JSON_VALUES,
+    "num_pairs": _JSON_INTS,
+    "tx_power_dbm": _JSON_VALUES,
+    "noise_floor_dbm": _JSON_VALUES,
+    "frequency_hz": _JSON_VALUES,
+    "bandwidth_hz": _JSON_VALUES,
+    "ber_model": st.one_of(st.sampled_from(["exp-half-snr", "exp-snr"]), _JSON_VALUES),
+    "packet_sizes_bits": st.one_of(st.lists(st.integers(-2, 20000), max_size=4).map(sorted), _WRONG_TYPES),
+    "power_axis_dbm": _JSON_AXES,
+    "frequency_axis_hz": _JSON_AXES,
+    "area_axis_m": _JSON_AXES,
+    "count_axis": st.one_of(st.lists(st.integers(-3, 40), max_size=4).map(sorted), _WRONG_TYPES),
+    "replicates": st.one_of(st.integers(-1, 3), _WRONG_TYPES),
+    "curves": st.one_of(st.lists(_JSON_CURVE, max_size=4), _WRONG_TYPES),
+    "rungs": st.one_of(st.lists(_JSON_RUNG, max_size=4), _WRONG_TYPES),
+    "initial_packet_bits": _JSON_INTS,
+    "growth_step_bits": _JSON_INTS,
+    "backoff_bits": _JSON_INTS,
+    "max_ticks": _JSON_INTS,
+    "format": st.one_of(st.sampled_from(["csv", "json"]), _JSON_VALUES),
+    # {tmp} is the example's own directory; the missing subdirectory makes the write fail.
+    "out": st.one_of(
+        st.sampled_from([None, "{tmp}/out.txt", "{tmp}/missing/out.txt"]),
+        _JSON_NUMBERS,
+        _WRONG_TYPES.filter(lambda v: not isinstance(v, str)),
+    ),
+}
+_CONFIG_VALUES_AND_UNKNOWN = {**_CONFIG_VALUES, "no_such_key": _JSON_VALUES}
+# A few keys per document, as the argv fuzz sets a few flags, and one
+# document in eight not an object, so that many documents reach the commands.
+_CONFIG_OBJECTS = st.lists(st.sampled_from(sorted(_CONFIG_VALUES_AND_UNKNOWN)), max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _CONFIG_VALUES_AND_UNKNOWN[key] for key in keys})
+)
+_CONFIG_DOCUMENTS = st.integers(0, 7).flatmap(lambda i: _JSON_VALUES if i == 0 else _CONFIG_OBJECTS)
+
+
+def test_config_fuzz_covers_every_config_key():
+    assert sorted(_CONFIG_VALUES) == sorted(_CONFIG_KEYS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([name for name, _ in _SUBCOMMANDS]), _CONFIG_DOCUMENTS)
+def test_fuzzed_config_file_exits_within_the_contract(command, doc):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(doc, dict) and isinstance(doc.get("out"), str):
+            doc = {**doc, "out": doc["out"].format(tmp=tmp)}
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, "--config", str(config)]
+        if command == "predict":
+            argv += ["--loss", "20", "--power", "9"]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            status = main(argv)
+    assert status in (0, 2, 3, 4), (doc, stderr.getvalue())
+    if status != 0:
+        assert stderr.getvalue().count("\n") == 1, (doc, stderr.getvalue())

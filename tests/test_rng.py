@@ -1,6 +1,5 @@
 """SplitMix64 reference behaviour and index sampling."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,12 +153,12 @@ WRAP_SEEDS = [(-m * _GAMMA + d) % 2**64 for m in (1, 2, 3) for d in (-1, 0, 1)] 
 
 
 @pytest.mark.parametrize("seed", WRAP_SEEDS)
-@pytest.mark.parametrize("count", [0, 1, 5, 257])
+@pytest.mark.parametrize("count", [0, 1, 5, 255, 256, 257])
 def test_uniforms_block_equals_scalar_draws(seed, count):
     block, scalar = SplitMix64(seed), SplitMix64(seed)
     values = block.uniforms(count)
-    assert values.dtype == np.float64
-    assert values.tolist() == [scalar.next_uniform() for _ in range(count)]
+    assert isinstance(values, list)
+    assert values == [scalar.next_uniform() for _ in range(count)]
     assert block.state == scalar.state
     assert block.next_u64() == scalar.next_u64()
 

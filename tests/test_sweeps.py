@@ -1,5 +1,6 @@
 """Sweep grids: consistency, trends, replicate statistics, power ratios."""
 
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from fanetsim import (
     run_packet_power_sweep,
     run_sweep,
 )
-from fanetsim.sweeps import SweepAxis, SweepSpec
+from fanetsim.sweeps import SweepAxis, SweepSpec, _mean, _std
 
 SIZES = (10, 100, 1000, 10000)
 
@@ -303,6 +304,42 @@ def test_run_sweep_rows_equal_the_per_cell_reference(data, axis):
         replicates=data.draw(st.integers(1, 4)),
     )
     assert run_sweep(spec) == _reference_sweep(spec)
+
+
+def test_run_sweep_with_130_replicates_equals_the_per_cell_reference():
+    # 130 replicates take the split above 128 values in the mean and std.
+    spec = SweepSpec(base_seed=7, axis=SweepAxis.POWER_DBM, axis_values=(5.0, 9.0), num_pairs=4, replicates=130)
+    assert run_sweep(spec) == _reference_sweep(spec)
+
+
+def _loss_like(n: int, seed: int) -> list[float]:
+    """n values in [0, 1e3] with full mantissas over 24 decades, one in ten 0.0, -0.0, a subnormal or 1e3."""
+    rng = random.Random(seed)
+    specials = (0.0, -0.0, 5e-324, 1e-310, 1e3)
+    return [
+        rng.choice(specials) if rng.random() < 0.1 else rng.uniform(0.0, 1e3) * 10.0 ** -rng.randint(0, 20)
+        for _ in range(n)
+    ]
+
+
+# Lengths up to 1100 cross every branch of numpy's pairwise sum: sequential
+# below 8 values, eight accumulators up to 128, halves above that. Half the
+# lengths sit at a branch boundary.
+_BRANCH_EDGES = [1, 4, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 255, 256, 257, 1100]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.sampled_from(_BRANCH_EDGES), st.integers(1, 1100)), seed=st.integers(0, 2**32))
+def test_mean_and_std_equal_numpy_bit_for_bit(n, seed):
+    values = _loss_like(n, seed)
+    # float.hex tells 0.0 from -0.0, which == does not.
+    assert _mean(values).hex() == float(np.mean(values)).hex()
+    assert _std(values).hex() == float(np.std(values)).hex()
+
+
+def test_mean_of_negative_zeros_is_positive_zero_as_in_numpy():
+    values = [-0.0] * 9
+    assert _mean(values).hex() == float(np.mean(values)).hex() == "0x0.0p+0"
 
 
 def test_pair_mean_losses_equal_mean_pair_loss_at_each_size(seed42_topology):
