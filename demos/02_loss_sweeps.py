@@ -9,10 +9,7 @@ table behind the "losses scale like the power ratio" observation.
 
 from fanetsim import (
     power_ratio_report,
-    run_area_sweep,
-    run_count_sweep,
-    run_frequency_sweep,
-    run_packet_power_sweep,
+    run_sweep,
 )
 from fanetsim.sweeps import (
     DEFAULT_AREA_AXIS_M,
@@ -35,24 +32,24 @@ def show(result, label, fmt_axis=lambda v: f"{v:g}"):
         print(f"  {fmt_axis(value):>10} {cells}")
 
 
-power = run_packet_power_sweep(
+power = run_sweep(
     SweepSpec(base_seed=42, axis=SweepAxis.POWER_DBM, axis_values=DEFAULT_POWER_AXIS_DBM)
 )
 show(power, "mean loss % by transmit power (dBm), 20 UAVs in 1500x1500 m")
 
-freq = run_frequency_sweep(
+freq = run_sweep(
     SweepSpec(base_seed=42, axis=SweepAxis.FREQUENCY_HZ, axis_values=DEFAULT_FREQUENCY_AXIS_HZ)
 )
 show(freq, "mean loss % by carrier frequency (Hz), 7 dBm", fmt_axis=lambda v: f"{v:.2g}")
 
-area = run_area_sweep(
+area = run_sweep(
     SweepSpec(
         base_seed=42, axis=SweepAxis.AREA_SIDE_M, axis_values=DEFAULT_AREA_AXIS_M, replicates=32
     )
 )
 show(area, "mean loss % by area side (m), 32 replicate constellations")
 
-count = run_count_sweep(
+count = run_sweep(
     SweepSpec(
         base_seed=42,
         axis=SweepAxis.UAV_COUNT,

@@ -13,12 +13,12 @@ from fanetsim import (
     fit_family_from_power_sweep,
     grid_oracle_predict,
     predict_packet_size,
-    run_packet_power_sweep,
+    run_sweep,
 )
 from fanetsim.sweeps import DEFAULT_POWER_AXIS_DBM, SweepAxis, SweepSpec
 
 print("=== curves fitted to the seed-42 power sweep ===")
-sweep = run_packet_power_sweep(
+sweep = run_sweep(
     SweepSpec(base_seed=42, axis=SweepAxis.POWER_DBM, axis_values=DEFAULT_POWER_AXIS_DBM)
 )
 fitted = fit_family_from_power_sweep(sweep)

@@ -18,6 +18,9 @@ RUNS = [
     (["sweep-area", "--seed", "42"], "sweep_area_seed42.csv"),
     (["sweep-count", "--seed", "42"], "sweep_count_seed42.csv"),
     (["adapt"], "adaptation_trace.csv"),
+    (["sweep-power", "--seed", "42", "--format", "json"], "sweep_power_seed42.json"),
+    (["adapt", "--format", "json"], "adaptation_trace.json"),
+    (["predict", "--loss", "20", "--power", "9", "--format", "json"], "predict_loss20_power9.json"),
 ]
 
 

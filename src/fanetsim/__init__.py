@@ -60,10 +60,6 @@ from fanetsim.sweeps import (
     SweepRow,
     SweepSpec,
     power_ratio_report,
-    run_area_sweep,
-    run_count_sweep,
-    run_frequency_sweep,
-    run_packet_power_sweep,
     run_sweep,
 )
 from fanetsim.topology import (

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from fanetsim.adaptation import NonTerminationError, run_adaptation
@@ -27,7 +28,6 @@ from fanetsim.config import (
     sweep_spec,
 )
 from fanetsim.curves import fit_family_from_power_sweep, predict_with_oracle
-from fanetsim.link import BerModel
 from fanetsim.output import OutputFormat, emit_table, write_document
 from fanetsim.sweeps import SweepAxis, run_sweep
 from fanetsim.topology import generate_topology, serialize_topology
@@ -55,46 +55,32 @@ _SWEEP_AXES = {
 }
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _comma_list(item: type):
+    def parse(text: str) -> list:
+        try:
+            return [item(tok) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {item.__name__} values, got {text!r}")
 
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return parse
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+    """--config, --print-config, and one --kebab-case flag per config key.
+
+    A flag parses its key's default type (str when the default is None), or a
+    comma list of the type of the default's items. Keys whose items are
+    records (curves, rungs) have no flag and are set in a config file.
+    """
     sub.add_argument("--config", metavar="PATH", help="JSON config file (flags take precedence)")
     sub.add_argument("--print-config", action="store_true",
                      help="print the merged effective configuration and exit")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--num-uavs", type=int)
-    sub.add_argument("--area-width-m", type=float)
-    sub.add_argument("--area-height-m", type=float)
-    sub.add_argument("--num-pairs", type=int)
-    sub.add_argument("--tx-power-dbm", type=float)
-    sub.add_argument("--noise-floor-dbm", type=float)
-    sub.add_argument("--frequency-hz", type=float)
-    sub.add_argument("--bandwidth-hz", type=float)
-    sub.add_argument("--ber-model", choices=[m.value for m in BerModel])
-    sub.add_argument("--packet-sizes-bits", type=_int_list, metavar="N,N,...")
-    sub.add_argument("--power-axis-dbm", type=_float_list, metavar="P,P,...")
-    sub.add_argument("--frequency-axis-hz", type=_float_list, metavar="F,F,...")
-    sub.add_argument("--area-axis-m", type=_float_list, metavar="S,S,...")
-    sub.add_argument("--count-axis", type=_int_list, metavar="N,N,...")
-    sub.add_argument("--replicates", type=int)
-    sub.add_argument("--initial-packet-bits", type=int)
-    sub.add_argument("--growth-step-bits", type=int)
-    sub.add_argument("--backoff-bits", type=int)
-    sub.add_argument("--max-ticks", type=int)
-    sub.add_argument("--format", choices=["csv", "json"])
-    sub.add_argument("--out", metavar="PATH")
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if not isinstance(f.default, tuple):
+            sub.add_argument(flag, type=str if f.default is None else type(f.default))
+        elif isinstance(f.default[0], (int, float)):
+            sub.add_argument(flag, type=_comma_list(type(f.default[0])), metavar="V,V,...")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,12 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _execute(command: str, cfg: RunConfig, args: argparse.Namespace) -> str:
-    fmt = OutputFormat(cfg.format)
     if command == "topology":
-        if fmt is not OutputFormat.JSON:
+        if cfg.format not in (None, "json"):
             raise ConfigError("format: topology documents are json only")
         t = generate_topology(cfg.seed, cfg.num_uavs, area_spec(cfg), cfg.num_pairs)
         return serialize_topology(t)
+    fmt = OutputFormat(cfg.format or "csv")
     if command in _SWEEP_AXES:
         return emit_table(run_sweep(sweep_spec(cfg, _SWEEP_AXES[command])), fmt)
     if command == "fit":

@@ -3,18 +3,19 @@
 Precedence is defaults < config file < flags (rightmost wins). Unknown keys
 are rejected, every validation error names the offending key, and the
 merged configuration can be echoed back out as a config file that
-reproduces the run byte for byte.
+reproduces the run byte for byte. Each key is one RunConfig field that
+declares its default and its check; the CLI derives its flags from them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Mapping
 
-from fanetsim.adaptation import AdaptationPolicy, PowerRung
-from fanetsim.curves import CurveFamily, LossCurve
+from fanetsim.adaptation import AdaptationPolicy, PowerRung, default_policy
+from fanetsim.curves import CurveFamily, LossCurve, default_curve_family
 from fanetsim.link import BerModel, RadioParams
 from fanetsim.rng import MASK64
 from fanetsim.sweeps import (
@@ -28,57 +29,11 @@ from fanetsim.sweeps import (
 )
 from fanetsim.topology import AreaSpec
 
-DEFAULT_CURVES = (
-    {"power_dbm": 5.0, "slope": 6.8, "intercept": 26.0},
-    {"power_dbm": 7.0, "slope": 7.1, "intercept": 4.0},
-    {"power_dbm": 9.0, "slope": 6.2, "intercept": -6.0},
-)
-DEFAULT_RUNGS = ((5.0, 50.0), (7.0, 40.0), (9.0, 30.0))
+Check = Callable[[Any, str], Any]  # (value, key) -> validated value, or raises ConfigError
 
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending key."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 42
-    num_uavs: int = 20
-    area_width_m: float = 1500.0
-    area_height_m: float = 1500.0
-    num_pairs: int = 10
-    tx_power_dbm: float = 7.0
-    noise_floor_dbm: float = -100.0
-    frequency_hz: float = 2.4e9
-    bandwidth_hz: float = 2e6  # carried for config fidelity; no formula consumes it
-    ber_model: str = "exp-half-snr"
-    packet_sizes_bits: tuple[int, ...] = DEFAULT_PACKET_SIZES
-    power_axis_dbm: tuple[float, ...] = DEFAULT_POWER_AXIS_DBM
-    frequency_axis_hz: tuple[float, ...] = DEFAULT_FREQUENCY_AXIS_HZ
-    area_axis_m: tuple[float, ...] = DEFAULT_AREA_AXIS_M
-    count_axis: tuple[int, ...] = DEFAULT_COUNT_AXIS
-    replicates: int = 1
-    curves: tuple[dict, ...] = DEFAULT_CURVES
-    rungs: tuple[tuple[float, float], ...] = DEFAULT_RUNGS
-    initial_packet_bits: int = 20
-    growth_step_bits: int = 10
-    backoff_bits: int = 20
-    max_ticks: int = 10000
-    format: str = "csv"
-    out: str | None = None
-
-
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    if isinstance(value, float):
-        return math.isfinite(value)  # json.loads lets NaN/Infinity through
-    return _is_int(value)
 
 
 def _require(condition: bool, key: str, want: str) -> None:
@@ -86,111 +41,115 @@ def _require(condition: bool, key: str, want: str) -> None:
         raise ConfigError(f"{key}: {want}")
 
 
-def _check_int(value: Any, key: str, minimum: int | None = None) -> int:
-    _require(_is_int(value), key, "must be an integer")
-    if minimum is not None:
+def _int(minimum: int, maximum: int | None = None) -> Check:
+    def check(value: Any, key: str) -> int:
+        _require(isinstance(value, int) and not isinstance(value, bool), key, "must be an integer")
         _require(value >= minimum, key, f"must be >= {minimum}")
+        _require(maximum is None or value <= maximum, key, f"must be <= {maximum}")
+        return value
+
+    return check
+
+
+def _number(positive: bool = False) -> Check:
+    def check(value: Any, key: str) -> float:
+        # json.loads lets NaN and Infinity through.
+        finite = math.isfinite(value) if isinstance(value, float) else isinstance(value, int)
+        _require(finite and not isinstance(value, bool), key, "must be a number")
+        _require(not positive or value > 0, key, "must be positive")
+        return float(value)
+
+    return check
+
+
+def _one_of(*choices: Any) -> Check:
+    def check(value: Any, key: str) -> Any:
+        _require(value in choices, key, f"must be one of {json.dumps(choices)}")
+        return value
+
+    return check
+
+
+def _increasing(item: Check, power: Callable[[Any], float] | None = None) -> Check:
+    """A non-empty list of items, strictly increasing in themselves or in their power."""
+
+    def check(value: Any, key: str) -> tuple:
+        _require(isinstance(value, (list, tuple)) and len(value) > 0, key, "must be a non-empty list")
+        out = tuple(item(v, key) for v in value)
+        order = [power(v) for v in out] if power else out
+        _require(all(hi > lo for lo, hi in zip(order, order[1:])), key,
+                 f"{'powers ' if power else ''}must be strictly increasing")
+        return out
+
+    return check
+
+
+_CURVE_KEYS = ("power_dbm", "slope", "intercept")  # the LossCurve fields, in document order
+
+
+def _curve(entry: Any, key: str) -> dict:
+    _require(isinstance(entry, Mapping), key, "entries must be objects")
+    _require(set(entry) == set(_CURVE_KEYS), key, f"entries must have exactly the keys {', '.join(_CURVE_KEYS)}")
+    return {name: _number()(entry[name], key) for name in _CURVE_KEYS}
+
+
+def _rung(entry: Any, key: str) -> tuple[float, float]:
+    _require(isinstance(entry, (list, tuple)) and len(entry) == 2, key,
+             "entries must be [power_dbm, loss_threshold_percent] pairs")
+    return _number()(entry[0], key), _number()(entry[1], key)
+
+
+def _path(value: Any, key: str) -> str | None:
+    _require(value is None or isinstance(value, str), key, "must be a path or null")
     return value
 
 
-def _check_number(value: Any, key: str, positive: bool = False) -> float:
-    _require(_is_number(value), key, "must be a number")
-    if positive:
-        _require(value > 0, key, "must be positive")
-    return float(value)
+def _key(default: Any, check: Check) -> Any:
+    """One config key: its default and the check a file or flag value must pass."""
+    return field(default=default, metadata={"check": check})
 
 
-def _check_increasing_numbers(value: Any, key: str, positive: bool = False) -> tuple[float, ...]:
-    _require(isinstance(value, (list, tuple)) and len(value) > 0, key, "must be a non-empty list")
-    out = tuple(_check_number(v, key, positive=positive) for v in value)
-    _require(all(hi > lo for lo, hi in zip(out, out[1:])), key, "must be strictly increasing")
-    return out
+_STOCK_RADIO = RadioParams()
+_STOCK_POLICY = default_policy()
 
 
-def _check_increasing_ints(value: Any, key: str, minimum: int) -> tuple[int, ...]:
-    _require(isinstance(value, (list, tuple)) and len(value) > 0, key, "must be a non-empty list")
-    out = tuple(_check_int(v, key, minimum=minimum) for v in value)
-    _require(all(hi > lo for lo, hi in zip(out, out[1:])), key, "must be strictly increasing")
-    return out
+@dataclass(frozen=True)
+class RunConfig:
+    seed: int = _key(42, _int(0, MASK64))
+    num_uavs: int = _key(20, _int(2))
+    area_width_m: float = _key(1500.0, _number(positive=True))
+    area_height_m: float = _key(1500.0, _number(positive=True))
+    num_pairs: int = _key(10, _int(1))
+    tx_power_dbm: float = _key(_STOCK_RADIO.tx_power_dbm, _number())
+    noise_floor_dbm: float = _key(_STOCK_RADIO.noise_floor_dbm, _number())
+    frequency_hz: float = _key(_STOCK_RADIO.frequency_hz, _number(positive=True))
+    # Carried for config fidelity; no formula consumes it.
+    bandwidth_hz: float = _key(2e6, _number(positive=True))
+    ber_model: str = _key(_STOCK_RADIO.ber_model.value, _one_of(*(m.value for m in BerModel)))
+    packet_sizes_bits: tuple[int, ...] = _key(DEFAULT_PACKET_SIZES, _increasing(_int(1)))
+    power_axis_dbm: tuple[float, ...] = _key(DEFAULT_POWER_AXIS_DBM, _increasing(_number()))
+    frequency_axis_hz: tuple[float, ...] = _key(DEFAULT_FREQUENCY_AXIS_HZ, _increasing(_number(positive=True)))
+    area_axis_m: tuple[float, ...] = _key(DEFAULT_AREA_AXIS_M, _increasing(_number(positive=True)))
+    count_axis: tuple[int, ...] = _key(DEFAULT_COUNT_AXIS, _increasing(_int(2)))
+    replicates: int = _key(1, _int(1))
+    curves: tuple[dict, ...] = _key(
+        tuple({name: getattr(c, name) for name in _CURVE_KEYS} for c in default_curve_family().curves),
+        _increasing(_curve, power=lambda c: c["power_dbm"]),
+    )
+    rungs: tuple[tuple[float, float], ...] = _key(
+        tuple((r.power_dbm, r.loss_threshold_percent) for r in _STOCK_POLICY.rungs),
+        _increasing(_rung, power=lambda r: r[0]),
+    )
+    initial_packet_bits: int = _key(_STOCK_POLICY.initial_packet_bits, _int(1))
+    growth_step_bits: int = _key(_STOCK_POLICY.growth_step_bits, _int(0))
+    backoff_bits: int = _key(_STOCK_POLICY.backoff_bits, _int(0))
+    max_ticks: int = _key(_STOCK_POLICY.max_ticks, _int(1))
+    format: str | None = _key(None, _one_of(None, "csv", "json"))  # None: the command's own format
+    out: str | None = _key(None, _path)
 
 
-def _check_curves(value: Any, key: str) -> tuple[dict, ...]:
-    _require(isinstance(value, (list, tuple)) and len(value) > 0, key, "must be a non-empty list")
-    out = []
-    for entry in value:
-        _require(isinstance(entry, Mapping), key, "entries must be objects")
-        _require(
-            set(entry.keys()) == {"power_dbm", "slope", "intercept"},
-            key,
-            "entries must have exactly the keys power_dbm, slope, intercept",
-        )
-        out.append(
-            {
-                "power_dbm": _check_number(entry["power_dbm"], key),
-                "slope": _check_number(entry["slope"], key),
-                "intercept": _check_number(entry["intercept"], key),
-            }
-        )
-    powers = [c["power_dbm"] for c in out]
-    _require(all(hi > lo for lo, hi in zip(powers, powers[1:])), key, "powers must be strictly increasing")
-    return tuple(out)
-
-
-def _check_rungs(value: Any, key: str) -> tuple[tuple[float, float], ...]:
-    _require(isinstance(value, (list, tuple)) and len(value) > 0, key, "must be a non-empty list")
-    out = []
-    for entry in value:
-        _require(
-            isinstance(entry, (list, tuple)) and len(entry) == 2,
-            key,
-            "entries must be [power_dbm, loss_threshold_percent] pairs",
-        )
-        out.append((_check_number(entry[0], key), _check_number(entry[1], key)))
-    powers = [p for p, _ in out]
-    _require(all(hi > lo for lo, hi in zip(powers, powers[1:])), key, "powers must be strictly increasing")
-    return tuple(out)
-
-
-def _validate(key: str, value: Any) -> Any:
-    if key == "seed":
-        v = _check_int(value, key, minimum=0)
-        _require(v <= MASK64, key, "must fit in 64 bits")
-        return v
-    if key == "num_uavs":
-        return _check_int(value, key, minimum=2)
-    if key in ("area_width_m", "area_height_m", "frequency_hz", "bandwidth_hz"):
-        return _check_number(value, key, positive=True)
-    if key == "num_pairs":
-        return _check_int(value, key, minimum=1)
-    if key in ("tx_power_dbm", "noise_floor_dbm"):
-        return _check_number(value, key)
-    if key == "ber_model":
-        choices = [m.value for m in BerModel]
-        _require(value in choices, key, f"must be one of {choices}")
-        return value
-    if key == "packet_sizes_bits":
-        return _check_increasing_ints(value, key, minimum=1)
-    if key == "power_axis_dbm":
-        return _check_increasing_numbers(value, key)
-    if key in ("frequency_axis_hz", "area_axis_m"):
-        return _check_increasing_numbers(value, key, positive=True)
-    if key == "count_axis":
-        return _check_increasing_ints(value, key, minimum=2)
-    if key in ("replicates", "initial_packet_bits", "max_ticks"):
-        return _check_int(value, key, minimum=1)
-    if key in ("growth_step_bits", "backoff_bits"):
-        return _check_int(value, key, minimum=0)
-    if key == "curves":
-        return _check_curves(value, key)
-    if key == "rungs":
-        return _check_rungs(value, key)
-    if key == "format":
-        _require(value in ("csv", "json"), key, "must be 'csv' or 'json'")
-        return value
-    if key == "out":
-        _require(value is None or isinstance(value, str), key, "must be a path or null")
-        return value
-    raise ConfigError(f"unknown config key: {key}")
+_CHECKS = {f.name: f.metadata["check"] for f in fields(RunConfig)}
+_CONFIG_KEYS = tuple(_CHECKS)
 
 
 def parse_config(file_text: str | None, overrides: Mapping[str, Any] | None = None) -> RunConfig:
@@ -205,17 +164,17 @@ def parse_config(file_text: str | None, overrides: Mapping[str, Any] | None = No
         if not isinstance(doc, dict):
             raise ConfigError("config file must contain a JSON object")
         for key, value in doc.items():
-            if key not in _CONFIG_KEYS:
+            if key not in _CHECKS:
                 raise ConfigError(f"unknown config key: {key}")
             merged[key] = value
 
     for key, value in (overrides or {}).items():
-        if key not in _CONFIG_KEYS:
+        if key not in _CHECKS:
             raise ConfigError(f"unknown config key: {key}")
         if value is not None:
             merged[key] = value
 
-    validated = {key: _validate(key, value) for key, value in merged.items()}
+    validated = {key: _CHECKS[key](value, key) for key, value in merged.items()}
     cfg = RunConfig(**validated)
 
     # Cross-key checks.
@@ -252,14 +211,12 @@ def radio_params(cfg: RunConfig) -> RadioParams:
 
 
 def curve_family(cfg: RunConfig) -> CurveFamily:
-    return CurveFamily(
-        tuple(LossCurve(c["slope"], c["intercept"], c["power_dbm"]) for c in cfg.curves)
-    )
+    return CurveFamily(tuple(LossCurve(**c) for c in cfg.curves))
 
 
 def adaptation_policy(cfg: RunConfig) -> AdaptationPolicy:
     return AdaptationPolicy(
-        rungs=tuple(PowerRung(power, threshold) for power, threshold in cfg.rungs),
+        rungs=tuple(PowerRung(*rung) for rung in cfg.rungs),
         initial_packet_bits=cfg.initial_packet_bits,
         growth_step_bits=cfg.growth_step_bits,
         backoff_bits=cfg.backoff_bits,

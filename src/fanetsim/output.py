@@ -18,7 +18,6 @@ from typing import Sequence
 from fanetsim.adaptation import TraceSample
 from fanetsim.curves import CurveFamily, PacketSizePrediction
 from fanetsim.sweeps import SweepResult
-from fanetsim.topology import Topology, serialize_topology
 
 
 class OutputFormat(Enum):
@@ -64,82 +63,32 @@ def _sweep_spec_echo(result: SweepResult) -> dict:
     }
 
 
-def _emit_sweep(result: SweepResult, fmt: OutputFormat) -> str:
-    if fmt is OutputFormat.CSV:
-        rows = [
-            (
-                format_float(row.axis_value),
-                str(row.packet_size_bits),
-                format_float(row.mean_loss_percent),
-                format_float(row.std_loss_percent),
-            )
-            for row in result.rows
-        ]
-        return _csv(("axis_value", "packet_size_bits", "mean_loss_percent", "std_loss_percent"), rows)
-    return _json_doc(
-        {
-            "spec": _sweep_spec_echo(result),
-            "rows": [
-                {
-                    "axis_value": _round6(row.axis_value),
-                    "packet_size_bits": row.packet_size_bits,
-                    "mean_loss_percent": _round6(row.mean_loss_percent),
-                    "std_loss_percent": _round6(row.std_loss_percent),
-                }
-                for row in result.rows
-            ],
-        }
-    )
+# Table cells are floats, written at 6 significant digits, except these
+# integer columns, written as they are, and enums, written as their value.
+_INT_COLUMNS = frozenset({"packet_size_bits", "tick", "packet_bits"})
 
 
-def _emit_trace(trace: Sequence[TraceSample], fmt: OutputFormat) -> str:
-    if fmt is OutputFormat.CSV:
-        rows = [
-            (
-                str(s.tick),
-                str(s.packet_bits),
-                format_float(s.loss_percent),
-                format_float(s.power_dbm),
-                s.event.value,
-            )
-            for s in trace
-        ]
-        return _csv(("tick", "packet_bits", "loss_percent", "power_dbm", "event"), rows)
-    return _json_doc(
-        {
-            "samples": [
-                {
-                    "tick": s.tick,
-                    "packet_bits": s.packet_bits,
-                    "loss_percent": _round6(s.loss_percent),
-                    "power_dbm": _round6(s.power_dbm),
-                    "event": s.event.value,
-                }
-                for s in trace
-            ]
-        }
-    )
+def _csv_cell(name: str, value) -> str:
+    if isinstance(value, Enum):
+        return value.value
+    return str(value) if name in _INT_COLUMNS else format_float(value)
 
 
-def _emit_curves(family: CurveFamily, fmt: OutputFormat) -> str:
-    if fmt is OutputFormat.CSV:
-        rows = [
-            (format_float(c.power_dbm), format_float(c.slope), format_float(c.intercept))
-            for c in family.curves
-        ]
-        return _csv(("power_dbm", "slope", "intercept"), rows)
-    return _json_doc(
-        {
-            "curves": [
-                {
-                    "power_dbm": _round6(c.power_dbm),
-                    "slope": _round6(c.slope),
-                    "intercept": _round6(c.intercept),
-                }
-                for c in family.curves
-            ]
-        }
-    )
+def _json_cell(name: str, value):
+    if isinstance(value, Enum):
+        return value.value
+    return value if name in _INT_COLUMNS else _round6(value)
+
+
+def _table(result) -> tuple[str, Sequence, tuple[str, ...]]:
+    """A table document's JSON list key, its rows, and its columns (row attributes)."""
+    if isinstance(result, SweepResult):
+        return "rows", result.rows, ("axis_value", "packet_size_bits", "mean_loss_percent", "std_loss_percent")
+    if isinstance(result, CurveFamily):
+        return "curves", result.curves, ("power_dbm", "slope", "intercept")
+    if isinstance(result, (list, tuple)) and all(isinstance(s, TraceSample) for s in result):
+        return "samples", result, ("tick", "packet_bits", "loss_percent", "power_dbm", "event")
+    raise TypeError(f"no table emitter for {type(result).__name__}")
 
 
 def _emit_prediction(pred: PacketSizePrediction, fmt: OutputFormat) -> str:
@@ -160,19 +109,14 @@ def _emit_prediction(pred: PacketSizePrediction, fmt: OutputFormat) -> str:
 
 def emit_table(result, fmt: OutputFormat) -> str:
     """Serialize a result to its CSV or JSON document."""
-    if isinstance(result, SweepResult):
-        return _emit_sweep(result, fmt)
-    if isinstance(result, Topology):
-        if fmt is OutputFormat.CSV:
-            raise ValueError("topology documents are JSON only")
-        return serialize_topology(result)
-    if isinstance(result, CurveFamily):
-        return _emit_curves(result, fmt)
     if isinstance(result, PacketSizePrediction):
         return _emit_prediction(result, fmt)
-    if isinstance(result, (list, tuple)) and all(isinstance(s, TraceSample) for s in result):
-        return _emit_trace(result, fmt)
-    raise TypeError(f"no table emitter for {type(result).__name__}")
+    key, rows, columns = _table(result)
+    if fmt is OutputFormat.CSV:
+        return _csv(columns, [[_csv_cell(c, getattr(row, c)) for c in columns] for row in rows])
+    doc = {"spec": _sweep_spec_echo(result)} if isinstance(result, SweepResult) else {}
+    doc[key] = [{c: _json_cell(c, getattr(row, c)) for c in columns} for row in rows]
+    return _json_doc(doc)
 
 
 def write_document(text: str, out_path: str | None) -> None:

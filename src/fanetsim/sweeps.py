@@ -77,12 +77,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _require_axis(spec: SweepSpec, axis: SweepAxis) -> SweepSpec:
-    if spec.axis is not axis:
-        raise ValueError(f"spec axis is {spec.axis.value}, expected {axis.value}")
-    return spec
-
-
 def _grid_point(spec: SweepSpec, value: float) -> tuple[RadioParams, int, AreaSpec]:
     """The radio, swarm size and flight area that one axis value stands for."""
     if spec.axis is SweepAxis.POWER_DBM:
@@ -153,6 +147,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Power and frequency values share the replicate topologies; area and count
     values draw new ones. Each link budget is evaluated once per (replicate,
     pair, axis value), and its BER gives the loss at every packet size.
+
+    Under a pure free-space model the swarm size leaves the pair-distance
+    distribution unchanged, so the count sweep is flat in expectation: the
+    count only changes sampling variability, and no trend is asserted.
     """
     distances: dict[tuple[int, AreaSpec], list[list[float]]] = {}
     rows = []
@@ -166,30 +164,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             losses = [means[k] for means in per_replicate]
             rows.append(SweepRow(label, size, _mean(losses), _std(losses)))
     return SweepResult(spec, tuple(rows))
-
-
-def run_packet_power_sweep(spec: SweepSpec) -> SweepResult:
-    """Loss vs packet size for each transmit power, on shared replicate topologies."""
-    return run_sweep(_require_axis(spec, SweepAxis.POWER_DBM))
-
-
-def run_frequency_sweep(spec: SweepSpec) -> SweepResult:
-    """Loss vs packet size for each carrier frequency, at fixed power."""
-    return run_sweep(_require_axis(spec, SweepAxis.FREQUENCY_HZ))
-
-
-def run_area_sweep(spec: SweepSpec) -> SweepResult:
-    """Loss vs packet size for square flight areas of different side lengths."""
-    return run_sweep(_require_axis(spec, SweepAxis.AREA_SIDE_M))
-
-
-def run_count_sweep(spec: SweepSpec) -> SweepResult:
-    """Loss vs packet size for different swarm sizes in a fixed area.
-
-    Under a pure free-space model the count only changes sampling
-    variability, so no monotonic trend is asserted or implied.
-    """
-    return run_sweep(_require_axis(spec, SweepAxis.UAV_COUNT))
 
 
 @dataclass(frozen=True)
@@ -213,7 +187,8 @@ def power_ratio_report(result: SweepResult) -> tuple[PowerRatioPair, ...]:
     Cells where the high-power loss is exactly zero are reported as absent
     rather than infinite; the per-pairing mean skips them.
     """
-    _require_axis(result.spec, SweepAxis.POWER_DBM)
+    if result.spec.axis is not SweepAxis.POWER_DBM:
+        raise ValueError(f"spec axis is {result.spec.axis.value}, expected {SweepAxis.POWER_DBM.value}")
     powers = result.spec.axis_values
     if len(powers) < 2:
         raise ValueError("power ratio report needs at least 2 powers")

@@ -23,9 +23,7 @@ from fanetsim import (
     invert_curve,
     predict_packet_size,
     run_adaptation,
-    run_area_sweep,
-    run_frequency_sweep,
-    run_packet_power_sweep,
+    run_sweep,
     summarize_trace,
 )
 from fanetsim.cli import main
@@ -144,7 +142,7 @@ def test_criterion_5_fspl_cross_form():
 
 
 def test_criterion_6_monotonic_trends():
-    power = run_packet_power_sweep(
+    power = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.POWER_DBM, axis_values=(5.0, 7.0, 9.0))
     )
     table = {(r.axis_value, r.packet_size_bits): r.mean_loss_percent for r in power.rows}
@@ -154,7 +152,7 @@ def test_criterion_6_monotonic_trends():
     for s in SIZES:
         assert table[(5.0, s)] > table[(7.0, s)] > table[(9.0, s)]
 
-    freq = run_frequency_sweep(
+    freq = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.FREQUENCY_HZ, axis_values=(2.4e9, 5.8e9, 2.8e10))
     )
     ftable = {(r.axis_value, r.packet_size_bits): r.mean_loss_percent for r in freq.rows}
@@ -163,7 +161,7 @@ def test_criterion_6_monotonic_trends():
         assert all(b >= a for a, b in zip(losses, losses[1:]))
 
     sides = (500.0, 1000.0, 1500.0, 2000.0, 3000.0)
-    area = run_area_sweep(
+    area = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.AREA_SIDE_M, axis_values=sides, replicates=32)
     )
     atable = {(r.axis_value, r.packet_size_bits): r.mean_loss_percent for r in area.rows}
@@ -174,7 +172,7 @@ def test_criterion_6_monotonic_trends():
 
 
 def test_criterion_7_power_ratio_observation():
-    result = run_packet_power_sweep(
+    result = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.POWER_DBM, axis_values=(5.0, 7.0, 9.0))
     )
     table = {(r.axis_value, r.packet_size_bits): r.mean_loss_percent for r in result.rows}

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, exit codes, golden datasets."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanetsim.cli import _SUBCOMMANDS, main
+from fanetsim.cli import _SUBCOMMANDS, build_parser, main
 from fanetsim.config import _CONFIG_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +60,9 @@ def test_unknown_flag_exits_2():
         (["sweep-area", "--seed", "42"], "sweep_area_seed42.csv"),
         (["sweep-count", "--seed", "42"], "sweep_count_seed42.csv"),
         (["adapt"], "adaptation_trace.csv"),
+        (["sweep-power", "--seed", "42", "--format", "json"], "sweep_power_seed42.json"),
+        (["adapt", "--format", "json"], "adaptation_trace.json"),
+        (["predict", "--loss", "20", "--power", "9", "--format", "json"], "predict_loss20_power9.json"),
     ],
 )
 def test_subcommands_reproduce_golden_datasets(argv, golden_name, capsys, golden_dir):
@@ -116,6 +120,13 @@ def test_adapt_json_trace(capsys):
     assert samples[-1]["packet_bits"] == 340
 
 
+def test_topology_defaults_to_json(capsys, golden_dir):
+    status, out, err = _run(["topology"], capsys)
+    assert status == 0
+    assert err == ""
+    assert out == (golden_dir / "topology_seed42.json").read_text(encoding="utf-8")
+
+
 def test_topology_rejects_csv_format(capsys):
     status, out, err = _run(["topology", "--format", "csv"], capsys)
     assert status == 2
@@ -162,6 +173,7 @@ def test_print_config_echo_reproduces_run(tmp_path, capsys, golden_dir):
     assert status == 0
     echoed = json.loads(out)
     assert echoed["seed"] == 42
+    assert echoed["format"] is None  # each command's own format
     cfg_path = tmp_path / "echo.json"
     cfg_path.write_text(out, encoding="utf-8")
     status, rerun_out, _ = _run(["sweep-power", "--config", str(cfg_path)], capsys)
@@ -200,6 +212,8 @@ def test_json_format_sweep_parses(capsys):
             ["sweep-count", "--num-pairs", "30"],
             "num_pairs: must be <= 20 for the smallest count_axis value, 5 UAVs",
         ),
+        (["adapt", "--ber-model", "gaussian"], 'ber_model: must be one of ["exp-half-snr", "exp-snr"]'),
+        (["sweep-power", "--format", "xml"], 'format: must be one of [null, "csv", "json"]'),
     ],
 )
 def test_invalid_flag_values_are_config_errors(argv, message, capsys):
@@ -262,7 +276,8 @@ _FUZZ_FLAGS = {
     "--tx-power-dbm": _FUZZ_VALUES,
     "--noise-floor-dbm": _FUZZ_VALUES,
     "--frequency-hz": _FUZZ_VALUES,
-    "--ber-model": st.sampled_from(["exp-half-snr", "exp-snr"]),
+    "--bandwidth-hz": _FUZZ_VALUES,
+    "--ber-model": st.sampled_from(["exp-half-snr", "exp-snr", "gaussian"]),
     "--packet-sizes-bits": st.lists(st.integers(-2, 20000), min_size=1, max_size=4).map(
         lambda v: ",".join(map(str, v))
     ),
@@ -276,17 +291,26 @@ _FUZZ_FLAGS = {
     "--growth-step-bits": _FUZZ_INTS,
     "--backoff-bits": _FUZZ_INTS,
     "--max-ticks": _FUZZ_INTS,
-    "--format": st.sampled_from(["csv", "json"]),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--print-config": st.none(),  # takes no value
     "--loss": _FUZZ_VALUES,
     "--power": _FUZZ_VALUES,
 }
+
+
+def test_argv_fuzz_covers_every_flag():
+    # --config and --out name files; the config-file fuzz below covers them.
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for sub in subparsers.choices.values() for action in sub._actions for opt in action.option_strings}
+    assert flags - {"-h", "--help", "--config", "--out"} == set(_FUZZ_FLAGS)
 
 
 @st.composite
 def _fuzz_argv(draw):
     argv = [draw(st.sampled_from([name for name, _ in _SUBCOMMANDS]))]
     for flag in draw(st.lists(st.sampled_from(sorted(_FUZZ_FLAGS)), min_size=1, max_size=3, unique=True)):
-        argv.append(f"{flag}={draw(_FUZZ_FLAGS[flag])}")
+        value = draw(_FUZZ_FLAGS[flag])
+        argv.append(flag if value is None else f"{flag}={value}")
     if argv[0] == "predict" and draw(st.booleans()):
         argv += [f"--loss={draw(_FUZZ_VALUES)}", f"--power={draw(_FUZZ_VALUES)}"]
     return argv

@@ -32,7 +32,7 @@ def test_defaults_without_file_or_flags():
     assert cfg.packet_sizes_bits == (10, 100, 1000, 10000)
     assert cfg.power_axis_dbm == (5.0, 7.0, 9.0)
     assert cfg.replicates == 1
-    assert cfg.format == "csv"
+    assert cfg.format is None
     assert cfg.out is None
 
 

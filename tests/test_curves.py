@@ -17,7 +17,7 @@ from fanetsim import (
     invert_curve,
     predict_packet_size,
     predict_with_oracle,
-    run_packet_power_sweep,
+    run_sweep,
 )
 from fanetsim.sweeps import SweepAxis, SweepSpec
 
@@ -206,7 +206,7 @@ def test_predict_with_oracle_bundles_both_routes():
 
 def test_fit_family_from_golden_power_sweep():
     spec = SweepSpec(base_seed=42, axis=SweepAxis.POWER_DBM, axis_values=(5.0, 7.0, 9.0))
-    family = fit_family_from_power_sweep(run_packet_power_sweep(spec))
+    family = fit_family_from_power_sweep(run_sweep(spec))
     assert family.powers == (5.0, 7.0, 9.0)
     seven = family.curve_at(7.0)
     # Frozen from the first run on the golden sweep.

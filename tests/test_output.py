@@ -7,7 +7,6 @@ import stat
 import pytest
 
 from fanetsim import (
-    AreaSpec,
     CurveFamily,
     LossCurve,
     PacketSizePrediction,
@@ -15,8 +14,6 @@ from fanetsim import (
     SweepRow,
     TraceEvent,
     TraceSample,
-    generate_topology,
-    serialize_topology,
 )
 from fanetsim.output import OutputFormat, emit_table, format_float, write_document
 from fanetsim.sweeps import SweepAxis, SweepSpec
@@ -97,13 +94,6 @@ def test_trace_documents():
     parsed = json.loads(emit_table(trace, OutputFormat.JSON))
     assert [s["event"] for s in parsed["samples"]] == ["none", "escalated", "terminated"]
     assert parsed["samples"][0]["loss_percent"] == 46.371
-
-
-def test_topology_document_routing():
-    topo = generate_topology(3, 2, AreaSpec(10.0, 10.0), 1)
-    assert emit_table(topo, OutputFormat.JSON) == serialize_topology(topo)
-    with pytest.raises(ValueError):
-        emit_table(topo, OutputFormat.CSV)
 
 
 def test_curve_family_documents():

@@ -18,10 +18,6 @@ from fanetsim import (
     mean_pair_loss_percent,
     pair_mean_losses_percent,
     power_ratio_report,
-    run_area_sweep,
-    run_count_sweep,
-    run_frequency_sweep,
-    run_packet_power_sweep,
     run_sweep,
 )
 from fanetsim.sweeps import SweepAxis, SweepSpec, _mean, _std
@@ -39,14 +35,14 @@ def _power_spec(**kwargs):
 
 @pytest.fixture(scope="module")
 def power_result():
-    return run_packet_power_sweep(_power_spec())
+    return run_sweep(_power_spec())
 
 
 def test_degenerate_sweep_equals_direct_mean(seed42_topology):
     spec = SweepSpec(
         base_seed=42, axis=SweepAxis.POWER_DBM, axis_values=(7.0,), packet_sizes=(1000,)
     )
-    result = run_packet_power_sweep(spec)
+    result = run_sweep(spec)
     assert len(result.rows) == 1
     row = result.rows[0]
     assert row.mean_loss_percent == mean_pair_loss_percent(seed42_topology, RadioParams(), 1000)
@@ -76,17 +72,17 @@ def test_loss_decreases_strictly_with_power(power_result):
 
 
 def test_frequency_sweep_consistent_with_power_sweep():
-    freq = run_frequency_sweep(
+    freq = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.FREQUENCY_HZ, axis_values=(2.4e9,))
     )
-    power = run_packet_power_sweep(
+    power = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.POWER_DBM, axis_values=(7.0,))
     )
     assert [r.mean_loss_percent for r in freq.rows] == [r.mean_loss_percent for r in power.rows]
 
 
 def test_loss_nondecreasing_with_frequency():
-    result = run_frequency_sweep(
+    result = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.FREQUENCY_HZ, axis_values=(2.4e9, 5.8e9, 2.8e10))
     )
     table = _table(result)
@@ -96,10 +92,10 @@ def test_loss_nondecreasing_with_frequency():
 
 
 def test_area_sweep_single_cell_matches_power_sweep():
-    area = run_area_sweep(
+    area = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.AREA_SIDE_M, axis_values=(1500.0,))
     )
-    power = run_packet_power_sweep(
+    power = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.POWER_DBM, axis_values=(7.0,))
     )
     assert [r.mean_loss_percent for r in area.rows] == [r.mean_loss_percent for r in power.rows]
@@ -107,7 +103,7 @@ def test_area_sweep_single_cell_matches_power_sweep():
 
 def test_area_sweep_mean_nondecreasing_with_32_replicates():
     sides = (500.0, 1000.0, 1500.0, 2000.0, 3000.0)
-    result = run_area_sweep(
+    result = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.AREA_SIDE_M, axis_values=sides, replicates=32)
     )
     table = _table(result)
@@ -119,10 +115,10 @@ def test_area_sweep_mean_nondecreasing_with_32_replicates():
 
 
 def test_count_sweep_row_matches_power_sweep_at_default_count():
-    count = run_count_sweep(
+    count = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.UAV_COUNT, axis_values=(5.0, 10.0, 20.0, 40.0, 80.0))
     )
-    power = run_packet_power_sweep(
+    power = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.POWER_DBM, axis_values=(7.0,))
     )
     count_table = _table(count)
@@ -139,7 +135,7 @@ def test_count_sweep_exhaustive_pairing():
         num_pairs=2,
         packet_sizes=(1000,),
     )
-    result = run_count_sweep(spec)
+    result = run_sweep(spec)
     topo = generate_topology(11, 2, spec.area, 2)
     assert set(topo.pairs) == {(0, 1), (1, 0)}
     assert result.rows[0].mean_loss_percent == mean_pair_loss_percent(topo, RadioParams(), 1000)
@@ -147,22 +143,12 @@ def test_count_sweep_exhaustive_pairing():
 
 def test_count_sweep_argument_errors():
     with pytest.raises(ValueError):
-        run_count_sweep(SweepSpec(base_seed=1, axis=SweepAxis.UAV_COUNT, axis_values=(1.0, 5.0)))
+        run_sweep(SweepSpec(base_seed=1, axis=SweepAxis.UAV_COUNT, axis_values=(1.0, 5.0)))
     with pytest.raises(ValueError):
-        run_count_sweep(SweepSpec(base_seed=1, axis=SweepAxis.UAV_COUNT, axis_values=(2.5, 5.0)))
+        run_sweep(SweepSpec(base_seed=1, axis=SweepAxis.UAV_COUNT, axis_values=(2.5, 5.0)))
     with pytest.raises(ValueError):
         # 3 UAVs offer 6 ordered pairs; the default asks for 10
-        run_count_sweep(SweepSpec(base_seed=1, axis=SweepAxis.UAV_COUNT, axis_values=(3.0,)))
-
-
-def test_runners_reject_mismatched_axis():
-    spec = _power_spec()
-    with pytest.raises(ValueError):
-        run_frequency_sweep(spec)
-    with pytest.raises(ValueError):
-        run_area_sweep(spec)
-    with pytest.raises(ValueError):
-        run_count_sweep(spec)
+        run_sweep(SweepSpec(base_seed=1, axis=SweepAxis.UAV_COUNT, axis_values=(3.0,)))
 
 
 def test_spec_validation():
@@ -185,7 +171,7 @@ def test_spec_validation():
 
 
 def test_identical_specs_give_identical_results(power_result):
-    again = run_packet_power_sweep(_power_spec())
+    again = run_sweep(_power_spec())
     assert again == power_result
 
 
@@ -197,7 +183,7 @@ def test_replicates_spread_statistics():
         packet_sizes=(1000,),
         replicates=3,
     )
-    result = run_area_sweep(spec)
+    result = run_sweep(spec)
     row = result.rows[0]
     losses = [
         mean_pair_loss_percent(generate_topology(42 + r, 20, AreaSpec(1500.0, 1500.0), 10), RadioParams(), 1000)
@@ -249,12 +235,12 @@ def test_power_ratio_report_golden_values(power_result):
 
 
 def test_power_ratio_report_requires_power_axis_and_two_powers():
-    freq = run_frequency_sweep(
+    freq = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.FREQUENCY_HZ, axis_values=(2.4e9,), packet_sizes=(10,))
     )
     with pytest.raises(ValueError):
         power_ratio_report(freq)
-    single = run_packet_power_sweep(
+    single = run_sweep(
         SweepSpec(base_seed=42, axis=SweepAxis.POWER_DBM, axis_values=(7.0,), packet_sizes=(10,))
     )
     with pytest.raises(ValueError):
