@@ -8,7 +8,6 @@ and a threshold-ladder adaptive transmission controller.
 
 from fanetsim.adaptation import (
     AdaptationPolicy,
-    ControllerState,
     NonTerminationError,
     PowerRung,
     TraceEvent,

@@ -8,7 +8,7 @@ final rung's threshold terminates the run. Power never decreases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from fanetsim.curves import CurveFamily, evaluate_curve
@@ -74,84 +74,41 @@ class TraceSample:
     event: TraceEvent
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    tick: int
-    packet_bits: int
-    rung_index: int
-    terminated: bool = False
+def run_adaptation(policy: AdaptationPolicy, family: CurveFamily) -> tuple[TraceSample, ...]:
+    """Run the controller to termination; error out after max_ticks samples.
 
-
-def initial_state(policy: AdaptationPolicy) -> ControllerState:
-    return ControllerState(tick=0, packet_bits=policy.initial_packet_bits, rung_index=0)
-
-
-def _validate_against_family(policy: AdaptationPolicy, family: CurveFamily) -> None:
-    for rung in policy.rungs:
-        if family.curve_at(rung.power_dbm) is None:
-            raise ValueError(f"no loss curve for rung power {rung.power_dbm} dBm")
-
-
-def step(
-    state: ControllerState, policy: AdaptationPolicy, family: CurveFamily
-) -> tuple[ControllerState, TraceSample]:
-    """Advance one tick: sample the loss, then apply threshold/growth rules.
-
-    Escalation applies the backoff and power change before the
+    Each tick samples the loss at the current packet size and rung. An
+    escalation applies the backoff and power change before the
     unconditional per-tick growth, so a 40-bit escalation with backoff 20
     and growth 10 resumes at 30 bits on the next rung.
     """
-    if state.terminated:
-        raise ValueError("controller already terminated")
-    rung = policy.rungs[state.rung_index]
-    curve = family.curve_at(rung.power_dbm)
-    if curve is None:
-        raise ValueError(f"no loss curve for rung power {rung.power_dbm} dBm")
-    loss = evaluate_curve(curve, state.packet_bits)
+    curves = []
+    for rung in policy.rungs:
+        curve = family.curve_at(rung.power_dbm)
+        if curve is None:
+            raise ValueError(f"no loss curve for rung power {rung.power_dbm} dBm")
+        curves.append(curve)
 
-    final_rung = state.rung_index == len(policy.rungs) - 1
-    if loss >= rung.loss_threshold_percent:
-        if final_rung:
-            sample = TraceSample(
-                state.tick, state.packet_bits, loss, rung.power_dbm, TraceEvent.TERMINATED
-            )
-            return replace(state, terminated=True), sample
-        event = TraceEvent.ESCALATED
-        next_bits = state.packet_bits - policy.backoff_bits
-        if next_bits < 1:
-            raise ValueError(
-                f"degenerate policy: backoff drops packet size to {next_bits} bits"
-            )
-        next_rung = state.rung_index + 1
-    else:
+    bits, rung_index, samples = policy.initial_packet_bits, 0, []
+    for tick in range(policy.max_ticks):
+        rung = policy.rungs[rung_index]
+        loss = evaluate_curve(curves[rung_index], bits)
         event = TraceEvent.NONE
-        next_bits = state.packet_bits
-        next_rung = state.rung_index
-
-    sample = TraceSample(state.tick, state.packet_bits, loss, rung.power_dbm, event)
-    next_state = ControllerState(
-        tick=state.tick + 1,
-        packet_bits=next_bits + policy.growth_step_bits,
-        rung_index=next_rung,
-    )
-    return next_state, sample
-
-
-def run_adaptation(policy: AdaptationPolicy, family: CurveFamily) -> tuple[TraceSample, ...]:
-    """Run the controller to termination; error out after max_ticks samples."""
-    _validate_against_family(policy, family)
-    state = initial_state(policy)
-    samples: list[TraceSample] = []
-    while True:
-        state, sample = step(state, policy, family)
-        samples.append(sample)
-        if sample.event is TraceEvent.TERMINATED:
+        if loss >= rung.loss_threshold_percent:
+            event = TraceEvent.ESCALATED if rung_index + 1 < len(curves) else TraceEvent.TERMINATED
+        samples.append(TraceSample(tick, bits, loss, rung.power_dbm, event))
+        if event is TraceEvent.TERMINATED:
             return tuple(samples)
-        if len(samples) >= policy.max_ticks:
-            raise NonTerminationError(
-                f"no termination within {policy.max_ticks} ticks "
-                f"(loss {sample.loss_percent:.2f}% at {sample.power_dbm} dBm)"
-            )
+        if event is TraceEvent.ESCALATED:
+            bits -= policy.backoff_bits
+            if bits < 1:
+                raise ValueError(f"degenerate policy: backoff drops packet size to {bits} bits")
+            rung_index += 1
+        bits += policy.growth_step_bits
+    raise NonTerminationError(
+        f"no termination within {policy.max_ticks} ticks "
+        f"(loss {loss:.2f}% at {rung.power_dbm} dBm)"
+    )
 
 
 @dataclass(frozen=True)

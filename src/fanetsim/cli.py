@@ -65,6 +65,14 @@ def _comma_list(item: type):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejections exit 2 with one line, like every other config error."""
+
+    def error(self, message: str):
+        # An unrecognised argument is echoed raw and may itself hold a newline.
+        self.exit(EXIT_CONFIG, "configuration error: " + message.replace("\n", "\\n") + "\n")
+
+
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     """--config, --print-config, and one --kebab-case flag per config key.
 
@@ -84,7 +92,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fanetsim",
         description="Deterministic packet-loss datasets and adaptive transmission for UAV ad-hoc networks.",
     )

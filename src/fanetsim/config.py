@@ -22,7 +22,6 @@ from fanetsim.sweeps import (
     DEFAULT_AREA_AXIS_M,
     DEFAULT_COUNT_AXIS,
     DEFAULT_FREQUENCY_AXIS_HZ,
-    DEFAULT_PACKET_SIZES,
     DEFAULT_POWER_AXIS_DBM,
     SweepAxis,
     SweepSpec,
@@ -109,29 +108,29 @@ def _key(default: Any, check: Check) -> Any:
     return field(default=default, metadata={"check": check})
 
 
-_STOCK_RADIO = RadioParams()
+_STOCK_SWEEP = SweepSpec(42, SweepAxis.POWER_DBM, DEFAULT_POWER_AXIS_DBM)
 _STOCK_POLICY = default_policy()
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = _key(42, _int(0, MASK64))
-    num_uavs: int = _key(20, _int(2))
-    area_width_m: float = _key(1500.0, _number(positive=True))
-    area_height_m: float = _key(1500.0, _number(positive=True))
-    num_pairs: int = _key(10, _int(1))
-    tx_power_dbm: float = _key(_STOCK_RADIO.tx_power_dbm, _number())
-    noise_floor_dbm: float = _key(_STOCK_RADIO.noise_floor_dbm, _number())
-    frequency_hz: float = _key(_STOCK_RADIO.frequency_hz, _number(positive=True))
+    seed: int = _key(_STOCK_SWEEP.base_seed, _int(0, MASK64))
+    num_uavs: int = _key(_STOCK_SWEEP.num_uavs, _int(2))
+    area_width_m: float = _key(_STOCK_SWEEP.area.width_m, _number(positive=True))
+    area_height_m: float = _key(_STOCK_SWEEP.area.height_m, _number(positive=True))
+    num_pairs: int = _key(_STOCK_SWEEP.num_pairs, _int(1))
+    tx_power_dbm: float = _key(_STOCK_SWEEP.radio.tx_power_dbm, _number())
+    noise_floor_dbm: float = _key(_STOCK_SWEEP.radio.noise_floor_dbm, _number())
+    frequency_hz: float = _key(_STOCK_SWEEP.radio.frequency_hz, _number(positive=True))
     # Carried for config fidelity; no formula consumes it.
     bandwidth_hz: float = _key(2e6, _number(positive=True))
-    ber_model: str = _key(_STOCK_RADIO.ber_model.value, _one_of(*(m.value for m in BerModel)))
-    packet_sizes_bits: tuple[int, ...] = _key(DEFAULT_PACKET_SIZES, _increasing(_int(1)))
+    ber_model: str = _key(_STOCK_SWEEP.radio.ber_model.value, _one_of(*(m.value for m in BerModel)))
+    packet_sizes_bits: tuple[int, ...] = _key(_STOCK_SWEEP.packet_sizes, _increasing(_int(1)))
     power_axis_dbm: tuple[float, ...] = _key(DEFAULT_POWER_AXIS_DBM, _increasing(_number()))
     frequency_axis_hz: tuple[float, ...] = _key(DEFAULT_FREQUENCY_AXIS_HZ, _increasing(_number(positive=True)))
     area_axis_m: tuple[float, ...] = _key(DEFAULT_AREA_AXIS_M, _increasing(_number(positive=True)))
     count_axis: tuple[int, ...] = _key(DEFAULT_COUNT_AXIS, _increasing(_int(2)))
-    replicates: int = _key(1, _int(1))
+    replicates: int = _key(_STOCK_SWEEP.replicates, _int(1))
     curves: tuple[dict, ...] = _key(
         tuple({name: getattr(c, name) for name in _CURVE_KEYS} for c in default_curve_family().curves),
         _increasing(_curve, power=lambda c: c["power_dbm"]),

@@ -124,7 +124,13 @@ def _budget(distance_m: float, radio: RadioParams) -> tuple[float, float, float,
         raise ValueError("distance must be positive")
     gain = friis_gain_linear(distance_m, radio.frequency_hz)
     rx_power_mw = dbm_to_mw(radio.tx_power_dbm) * gain
-    rx_power_dbm = mw_to_dbm(rx_power_mw)
+    try:
+        rx_power_dbm = mw_to_dbm(rx_power_mw)
+    except ValueError:  # the product underflowed to 0 mW
+        raise ValueError(
+            f"received power from {radio.tx_power_dbm:g} dBm transmitted over {distance_m:g} m "
+            "underflows a double on the linear scale"
+        ) from None
     snr_db = rx_power_dbm - radio.noise_floor_dbm
     snr_linear = _from_db(snr_db, "SNR", "dB")
     return rx_power_dbm, snr_db, snr_linear, ber_from_snr(snr_linear, radio.ber_model)

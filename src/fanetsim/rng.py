@@ -63,14 +63,6 @@ class SplitMix64:
         self.state = (self.state + count * _GAMMA) & MASK64
         return ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
 
-    def sample_without_replacement(self, n: int, k: int) -> list[int]:
-        """Draw k distinct indices from range(n), in emission order (see :func:`distinct_indices`)."""
-        if n < 0 or k < 0:
-            raise ValueError("n and k must be non-negative")
-        if k > n:
-            raise ValueError(f"cannot draw {k} distinct indices from a population of {n}")
-        return distinct_indices(n, self.uniforms(k))
-
 
 def distinct_indices(n: int, uniforms: list[float]) -> list[int]:
     """Distinct indices from range(n), one per uniform; needs ``len(uniforms) <= n``.
@@ -80,6 +72,8 @@ def distinct_indices(n: int, uniforms: list[float]) -> list[int]:
     order is fully determined by the uniforms. Only the k drawn slots are
     stored, sorted: O(k) memory and O(k log k) comparisons, whatever n is.
     """
+    if len(uniforms) > n:
+        raise ValueError(f"cannot draw {len(uniforms)} distinct indices from a population of {n}")
     removed: list[int] = []  # drawn slots, ascending
     drawn: list[int] = []
     for t, u in enumerate(uniforms):

@@ -17,7 +17,6 @@ from fanetsim import (
     run_adaptation,
     summarize_trace,
 )
-from fanetsim.adaptation import initial_state, step
 
 
 def _recurrence_oracle():
@@ -73,27 +72,20 @@ def test_default_trace_landmarks():
 
 
 def test_first_step_sample():
-    policy = default_policy()
-    family = default_curve_family()
-    state, sample = step(initial_state(policy), policy, family)
+    sample = run_adaptation(default_policy(), default_curve_family())[0]
     assert (sample.tick, sample.packet_bits, sample.power_dbm) == (0, 20, 5.0)
     assert sample.event is TraceEvent.NONE
     assert round(sample.loss_percent, 2) == 46.37
-    assert (state.tick, state.packet_bits, state.rung_index) == (1, 30, 0)
 
 
 def test_escalation_step_applies_backoff_then_growth():
-    policy = default_policy()
-    family = default_curve_family()
-    state = initial_state(policy)
-    for _ in range(2):
-        state, _ = step(state, policy, family)
-    state, sample = step(state, policy, family)
+    trace = run_adaptation(default_policy(), default_curve_family())
+    sample = trace[2]
     assert (sample.tick, sample.packet_bits, sample.power_dbm) == (2, 40, 5.0)
     assert sample.event is TraceEvent.ESCALATED
     assert sample.loss_percent == pytest.approx(51.08, abs=1e-2)
     # backoff to 20, next rung, then +10 growth
-    assert (state.packet_bits, state.rung_index) == (30, 1)
+    assert (trace[3].tick, trace[3].packet_bits, trace[3].power_dbm) == (3, 30, 7.0)
 
 
 def test_single_rung_zero_threshold_terminates_immediately():
@@ -101,14 +93,6 @@ def test_single_rung_zero_threshold_terminates_immediately():
     trace = run_adaptation(policy, default_curve_family())
     assert len(trace) == 1
     assert trace[0].event is TraceEvent.TERMINATED
-
-
-def test_step_on_terminated_state_rejected():
-    policy = AdaptationPolicy(rungs=(PowerRung(5.0, 0.0),))
-    family = default_curve_family()
-    state, _ = step(initial_state(policy), policy, family)
-    with pytest.raises(ValueError):
-        step(state, policy, family)
 
 
 def test_unreachable_threshold_raises_non_termination():

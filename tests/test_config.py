@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fanetsim import BerModel, SweepAxis
+from fanetsim import DEFAULT_POWER_AXIS_DBM, BerModel, SweepAxis, SweepSpec
 from fanetsim.config import (
     ConfigError,
     adaptation_policy,
@@ -145,3 +145,7 @@ def test_builders_produce_domain_objects():
     assert spec.base_seed == 42
     count_spec = sweep_spec(cfg, SweepAxis.UAV_COUNT)
     assert count_spec.axis_values == (5.0, 10.0, 20.0, 40.0, 80.0)
+
+
+def test_default_power_spec_is_the_stock_sweep_spec():
+    assert sweep_spec(parse_config(None), SweepAxis.POWER_DBM) == SweepSpec(42, SweepAxis.POWER_DBM, DEFAULT_POWER_AXIS_DBM)

@@ -210,6 +210,11 @@ def test_overflow_is_a_value_error_naming_the_quantity():
     assert dbm_to_mw(3000.0) == pytest.approx(1e300, rel=1e-12)
 
 
+def test_received_power_underflow_is_a_value_error_naming_the_quantity():
+    with pytest.raises(ValueError, match=r"^received power from -3300 dBm transmitted over 100 m underflows a double"):
+        link_quality(100.0, RadioParams(tx_power_dbm=-3300.0), 10)
+
+
 def test_radio_params_validation_and_defaults():
     radio = RadioParams()
     assert radio.tx_power_dbm == 7.0

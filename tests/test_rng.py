@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanetsim.rng import MASK64, SplitMix64
+from fanetsim.rng import MASK64, SplitMix64, distinct_indices
 
 
 def _reference_next(state: int) -> tuple[int, int]:
@@ -89,24 +89,24 @@ def test_uniform_mean_sanity():
 
 
 def test_sample_full_draw_is_permutation():
-    drawn = SplitMix64(3).sample_without_replacement(5, 5)
+    drawn = distinct_indices(5, SplitMix64(3).uniforms(5))
     assert sorted(drawn) == [0, 1, 2, 3, 4]
 
 
 def test_sample_single_element():
-    assert SplitMix64(11).sample_without_replacement(1, 1) == [0]
+    assert distinct_indices(1, SplitMix64(11).uniforms(1)) == [0]
 
 
 def test_sample_golden_triple():
     # Frozen from the first run of the specified algorithm.
-    assert SplitMix64(7).sample_without_replacement(10, 3) == [3, 0, 9]
+    assert distinct_indices(10, SplitMix64(7).uniforms(3)) == [3, 0, 9]
 
 
 def test_sample_no_duplicates_exhaustive():
     rng = SplitMix64(99)
     for n in range(1, 101):
         for k in range(0, n + 1):
-            drawn = rng.sample_without_replacement(n, k)
+            drawn = distinct_indices(n, rng.uniforms(k))
             assert len(drawn) == k
             assert len(set(drawn)) == k
             assert all(0 <= idx < n for idx in drawn)
@@ -114,14 +114,14 @@ def test_sample_no_duplicates_exhaustive():
 
 def test_sample_k_greater_than_n_rejected():
     with pytest.raises(ValueError):
-        SplitMix64(1).sample_without_replacement(3, 4)
+        distinct_indices(3, SplitMix64(1).uniforms(4))
 
 
 def test_sample_negative_arguments_rejected():
     with pytest.raises(ValueError):
-        SplitMix64(1).sample_without_replacement(-1, 0)
+        distinct_indices(-1, SplitMix64(1).uniforms(0))
     with pytest.raises(ValueError):
-        SplitMix64(1).sample_without_replacement(3, -1)
+        distinct_indices(3, SplitMix64(1).uniforms(-1))
 
 
 def _list_pop_sample(rng: SplitMix64, n: int, k: int) -> list[int]:
@@ -135,12 +135,12 @@ def _list_pop_sample(rng: SplitMix64, n: int, k: int) -> list[int]:
 def test_sample_matches_list_pop_reference(seed, n, data):
     k = data.draw(st.integers(0, n))
     rng, reference = SplitMix64(seed), SplitMix64(seed)
-    assert rng.sample_without_replacement(n, k) == _list_pop_sample(reference, n, k)
+    assert distinct_indices(n, rng.uniforms(k)) == _list_pop_sample(reference, n, k)
     assert rng.state == reference.state
 
 
 def test_sample_from_huge_population():
-    drawn = SplitMix64(5).sample_without_replacement(10**12, 1000)
+    drawn = distinct_indices(10**12, SplitMix64(5).uniforms(1000))
     assert len(set(drawn)) == 1000
     assert all(0 <= idx < 10**12 for idx in drawn)
 
