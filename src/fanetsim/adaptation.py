@@ -8,8 +8,8 @@ final rung's threshold terminates the run. Power never decreases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from fanetsim.curves import CurveFamily, evaluate_curve
 
@@ -24,27 +24,31 @@ class NonTerminationError(RuntimeError):
     """The run exhausted its tick budget without crossing the final threshold."""
 
 
-@dataclass(frozen=True)
-class PowerRung:
+class PowerRung(NamedTuple):
     power_dbm: float
     loss_threshold_percent: float
 
 
-@dataclass(frozen=True)
-class AdaptationPolicy:
-    """Escalation ladder plus packet-size schedule.
-
-    One tick is one transmission interval (a minute, in the default
-    labelling); the controller itself is unit-agnostic.
-    """
-
+# A NamedTuple body may not define __new__, so AdaptationPolicy's checks run in a subclass.
+class _AdaptationPolicy(NamedTuple):
     rungs: tuple[PowerRung, ...]
     initial_packet_bits: int = 20
     growth_step_bits: int = 10
     backoff_bits: int = 20
     max_ticks: int = 10000
 
-    def __post_init__(self):
+
+class AdaptationPolicy(_AdaptationPolicy):
+    """Escalation ladder plus packet-size schedule.
+
+    One tick is one transmission interval (a minute, in the default
+    labelling); the controller itself is unit-agnostic.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.rungs:
             raise ValueError("policy needs at least one power rung")
         powers = [r.power_dbm for r in self.rungs]
@@ -56,6 +60,7 @@ class AdaptationPolicy:
             raise ValueError("growth_step_bits and backoff_bits must be >= 0")
         if self.max_ticks < 1:
             raise ValueError("max_ticks must be >= 1")
+        return self
 
 
 def default_policy() -> AdaptationPolicy:
@@ -65,8 +70,7 @@ def default_policy() -> AdaptationPolicy:
     )
 
 
-@dataclass(frozen=True)
-class TraceSample:
+class TraceSample(NamedTuple):
     tick: int
     packet_bits: int
     loss_percent: float
@@ -111,8 +115,7 @@ def run_adaptation(policy: AdaptationPolicy, family: CurveFamily) -> tuple[Trace
     )
 
 
-@dataclass(frozen=True)
-class TraceSummary:
+class TraceSummary(NamedTuple):
     """Aggregates of one adaptation run."""
 
     dwell_ticks: tuple[tuple[float, int], ...]  # (power_dbm, samples at that power)

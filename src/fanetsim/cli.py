@@ -12,14 +12,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from fanetsim.adaptation import NonTerminationError, run_adaptation
 from fanetsim.config import (
     ConfigError,
     RunConfig,
-    _CONFIG_KEYS,
     adaptation_policy,
     area_spec,
     config_to_dict,
@@ -83,22 +81,23 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="JSON config file (flags take precedence)")
     sub.add_argument("--print-config", action="store_true",
                      help="print the merged effective configuration and exit")
-    for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if not isinstance(f.default, tuple):
-            sub.add_argument(flag, type=str if f.default is None else type(f.default))
-        elif isinstance(f.default[0], (int, float)):
-            sub.add_argument(flag, type=_comma_list(type(f.default[0])), metavar="V,V,...")
+    for key, default in RunConfig._field_defaults.items():
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(default, tuple):
+            sub.add_argument(flag, type=str if default is None else type(default))
+        elif isinstance(default[0], (int, float)):
+            sub.add_argument(flag, type=_comma_list(type(default[0])), metavar="V,V,...")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fanetsim",
+        allow_abbrev=False,
         description="Deterministic packet-loss datasets and adaptive transmission for UAV ad-hoc networks.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, help_text in _SUBCOMMANDS:
-        sub = subparsers.add_parser(name, help=help_text)
+        sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
         _add_config_flags(sub)
         if name == "predict":
             sub.add_argument("--loss", type=float, required=True,
@@ -140,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
                 file_text = Path(args.config).read_text(encoding="utf-8")
             except OSError as exc:
                 raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
-        overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+        overrides = {key: getattr(args, key, None) for key in RunConfig._fields}
         cfg = parse_config(file_text, overrides)
         if args.print_config:
             sys.stdout.write(json.dumps(config_to_dict(cfg), indent=2) + "\n")

@@ -3,15 +3,15 @@
 Precedence is defaults < config file < flags (rightmost wins). Unknown keys
 are rejected, every validation error names the offending key, and the
 merged configuration can be echoed back out as a config file that
-reproduces the run byte for byte. Each key is one RunConfig field that
-declares its default and its check; the CLI derives its flags from them.
+reproduces the run byte for byte. Each key is declared once, with its
+default and its check, as one RunConfig field; the CLI derives its flags.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from typing import Any, Callable, Mapping
 
 from fanetsim.adaptation import AdaptationPolicy, PowerRung, default_policy
@@ -103,52 +103,45 @@ def _path(value: Any, key: str) -> str | None:
     return value
 
 
-def _key(default: Any, check: Check) -> Any:
-    """One config key: its default and the check a file or flag value must pass."""
-    return field(default=default, metadata={"check": check})
-
-
 _STOCK_SWEEP = SweepSpec(42, SweepAxis.POWER_DBM, DEFAULT_POWER_AXIS_DBM)
 _STOCK_POLICY = default_policy()
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = _key(_STOCK_SWEEP.base_seed, _int(0, MASK64))
-    num_uavs: int = _key(_STOCK_SWEEP.num_uavs, _int(2))
-    area_width_m: float = _key(_STOCK_SWEEP.area.width_m, _number(positive=True))
-    area_height_m: float = _key(_STOCK_SWEEP.area.height_m, _number(positive=True))
-    num_pairs: int = _key(_STOCK_SWEEP.num_pairs, _int(1))
-    tx_power_dbm: float = _key(_STOCK_SWEEP.radio.tx_power_dbm, _number())
-    noise_floor_dbm: float = _key(_STOCK_SWEEP.radio.noise_floor_dbm, _number())
-    frequency_hz: float = _key(_STOCK_SWEEP.radio.frequency_hz, _number(positive=True))
+# Every config key in document order: its default and the check a file or flag value must pass.
+_KEYS: dict[str, tuple[Any, Check]] = {
+    "seed": (_STOCK_SWEEP.base_seed, _int(0, MASK64)),
+    "num_uavs": (_STOCK_SWEEP.num_uavs, _int(2)),
+    "area_width_m": (_STOCK_SWEEP.area.width_m, _number(positive=True)),
+    "area_height_m": (_STOCK_SWEEP.area.height_m, _number(positive=True)),
+    "num_pairs": (_STOCK_SWEEP.num_pairs, _int(1)),
+    "tx_power_dbm": (_STOCK_SWEEP.radio.tx_power_dbm, _number()),
+    "noise_floor_dbm": (_STOCK_SWEEP.radio.noise_floor_dbm, _number()),
+    "frequency_hz": (_STOCK_SWEEP.radio.frequency_hz, _number(positive=True)),
     # Carried for config fidelity; no formula consumes it.
-    bandwidth_hz: float = _key(2e6, _number(positive=True))
-    ber_model: str = _key(_STOCK_SWEEP.radio.ber_model.value, _one_of(*(m.value for m in BerModel)))
-    packet_sizes_bits: tuple[int, ...] = _key(_STOCK_SWEEP.packet_sizes, _increasing(_int(1)))
-    power_axis_dbm: tuple[float, ...] = _key(DEFAULT_POWER_AXIS_DBM, _increasing(_number()))
-    frequency_axis_hz: tuple[float, ...] = _key(DEFAULT_FREQUENCY_AXIS_HZ, _increasing(_number(positive=True)))
-    area_axis_m: tuple[float, ...] = _key(DEFAULT_AREA_AXIS_M, _increasing(_number(positive=True)))
-    count_axis: tuple[int, ...] = _key(DEFAULT_COUNT_AXIS, _increasing(_int(2)))
-    replicates: int = _key(_STOCK_SWEEP.replicates, _int(1))
-    curves: tuple[dict, ...] = _key(
+    "bandwidth_hz": (2e6, _number(positive=True)),
+    "ber_model": (_STOCK_SWEEP.radio.ber_model.value, _one_of(*(m.value for m in BerModel))),
+    "packet_sizes_bits": (_STOCK_SWEEP.packet_sizes, _increasing(_int(1))),
+    "power_axis_dbm": (DEFAULT_POWER_AXIS_DBM, _increasing(_number())),
+    "frequency_axis_hz": (DEFAULT_FREQUENCY_AXIS_HZ, _increasing(_number(positive=True))),
+    "area_axis_m": (DEFAULT_AREA_AXIS_M, _increasing(_number(positive=True))),
+    "count_axis": (DEFAULT_COUNT_AXIS, _increasing(_int(2))),
+    "replicates": (_STOCK_SWEEP.replicates, _int(1)),
+    "curves": (
         tuple({name: getattr(c, name) for name in _CURVE_KEYS} for c in default_curve_family().curves),
         _increasing(_curve, power=lambda c: c["power_dbm"]),
-    )
-    rungs: tuple[tuple[float, float], ...] = _key(
+    ),
+    "rungs": (
         tuple((r.power_dbm, r.loss_threshold_percent) for r in _STOCK_POLICY.rungs),
         _increasing(_rung, power=lambda r: r[0]),
-    )
-    initial_packet_bits: int = _key(_STOCK_POLICY.initial_packet_bits, _int(1))
-    growth_step_bits: int = _key(_STOCK_POLICY.growth_step_bits, _int(0))
-    backoff_bits: int = _key(_STOCK_POLICY.backoff_bits, _int(0))
-    max_ticks: int = _key(_STOCK_POLICY.max_ticks, _int(1))
-    format: str | None = _key(None, _one_of(None, "csv", "json"))  # None: the command's own format
-    out: str | None = _key(None, _path)
-
-
-_CHECKS = {f.name: f.metadata["check"] for f in fields(RunConfig)}
-_CONFIG_KEYS = tuple(_CHECKS)
+    ),
+    "initial_packet_bits": (_STOCK_POLICY.initial_packet_bits, _int(1)),
+    "growth_step_bits": (_STOCK_POLICY.growth_step_bits, _int(0)),
+    "backoff_bits": (_STOCK_POLICY.backoff_bits, _int(0)),
+    "max_ticks": (_STOCK_POLICY.max_ticks, _int(1)),
+    "format": (None, _one_of(None, "csv", "json")),  # None: the command's own format
+    "out": (None, _path),
+}
+RunConfig = namedtuple("RunConfig", _KEYS, defaults=[default for default, _ in _KEYS.values()])
+_CHECKS = {key: check for key, (_, check) in _KEYS.items()}
 
 
 def parse_config(file_text: str | None, overrides: Mapping[str, Any] | None = None) -> RunConfig:
@@ -188,11 +181,10 @@ def parse_config(file_text: str | None, overrides: Mapping[str, Any] | None = No
 def config_to_dict(cfg: RunConfig) -> dict[str, Any]:
     """Plain-JSON form of the effective configuration (stable key order)."""
     out: dict[str, Any] = {}
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
+    for key, value in cfg._asdict().items():
         if isinstance(value, tuple):
             value = [dict(v) if isinstance(v, Mapping) else (list(v) if isinstance(v, tuple) else v) for v in value]
-        out[f.name] = value
+        out[key] = value
     return out
 
 

@@ -9,16 +9,14 @@ kept alongside as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 GRID_START_BITS = 10
 GRID_STOP_BITS = 10000
 GRID_STEP_BITS = 10
 
 
-@dataclass(frozen=True)
-class LossCurve:
+class LossCurve(NamedTuple):
     """y = slope * ln(x) + intercept for one transmit power."""
 
     slope: float  # percent per nat of packet size
@@ -26,18 +24,24 @@ class LossCurve:
     power_dbm: float
 
 
-@dataclass(frozen=True)
-class CurveFamily:
-    """Loss curves ordered by strictly increasing transmit power."""
-
+# A NamedTuple body may not define __new__, so CurveFamily's checks run in a subclass.
+class _CurveFamily(NamedTuple):
     curves: tuple[LossCurve, ...]
 
-    def __post_init__(self):
+
+class CurveFamily(_CurveFamily):
+    """Loss curves ordered by strictly increasing transmit power."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.curves:
             raise ValueError("curve family must hold at least one curve")
         powers = [c.power_dbm for c in self.curves]
         if any(hi <= lo for lo, hi in zip(powers, powers[1:])):
             raise ValueError("curve powers must be strictly increasing")
+        return self
 
     @property
     def powers(self) -> tuple[float, ...]:
@@ -173,8 +177,7 @@ def fit_family_from_power_sweep(result) -> CurveFamily:
     return CurveFamily(curves)
 
 
-@dataclass(frozen=True)
-class PacketSizePrediction:
+class PacketSizePrediction(NamedTuple):
     """Paired analytic and grid predictions for one query."""
 
     loss_percent: float

@@ -7,8 +7,8 @@ precision and converted to percent only at reporting boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from fanetsim.topology import Topology, distance
 
@@ -31,22 +31,27 @@ class BerModel(Enum):
     EXP_SNR = "exp-snr"
 
 
-@dataclass(frozen=True)
-class RadioParams:
-    """Transmitter/receiver parameters shared by every link of a topology."""
-
+# A NamedTuple body may not define __new__, so RadioParams's checks run in a subclass.
+class _RadioParams(NamedTuple):
     tx_power_dbm: float = 7.0
     noise_floor_dbm: float = -100.0
     frequency_hz: float = 2.4e9
     ber_model: BerModel = BerModel.EXP_HALF_SNR
 
-    def __post_init__(self):
+
+class RadioParams(_RadioParams):
+    """Transmitter/receiver parameters shared by every link of a topology."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.frequency_hz > 0:
             raise ValueError("frequency_hz must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class LinkQuality:
+class LinkQuality(NamedTuple):
     """Full link-budget chain for one distance and packet size."""
 
     rx_power_dbm: float

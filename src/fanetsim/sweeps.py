@@ -8,9 +8,9 @@ population standard deviation of the per-topology pair-mean loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
+from typing import NamedTuple
 
 from fanetsim.link import RadioParams, pair_mean_losses_percent
 from fanetsim.rng import MASK64
@@ -30,10 +30,8 @@ class SweepAxis(Enum):
     UAV_COUNT = "uav_count"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One experiment grid: topology parameters, radio, packet sizes, swept axis."""
-
+# A NamedTuple body may not define __new__, so SweepSpec's checks run in a subclass.
+class _SweepSpec(NamedTuple):
     base_seed: int
     axis: SweepAxis
     axis_values: tuple[float, ...]
@@ -44,7 +42,14 @@ class SweepSpec:
     packet_sizes: tuple[int, ...] = DEFAULT_PACKET_SIZES
     replicates: int = 1
 
-    def __post_init__(self):
+
+class SweepSpec(_SweepSpec):
+    """One experiment grid: topology parameters, radio, packet sizes, swept axis."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.axis_values:
             raise ValueError("axis_values must be non-empty")
         if any(hi <= lo for lo, hi in zip(self.axis_values, self.axis_values[1:])):
@@ -61,28 +66,30 @@ class SweepSpec:
             raise ValueError("num_uavs must be at least 2")
         if self.num_pairs < 1:
             raise ValueError("num_pairs must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     axis_value: float
     packet_size_bits: int
     mean_loss_percent: float
     std_loss_percent: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     spec: SweepSpec
     rows: tuple[SweepRow, ...]
 
 
 def _grid_point(spec: SweepSpec, value: float) -> tuple[RadioParams, int, AreaSpec]:
-    """The radio, swarm size and flight area that one axis value stands for."""
+    """The radio, swarm size and flight area that one axis value stands for.
+
+    A swept radio is rebuilt through RadioParams, whose check _replace skips.
+    """
     if spec.axis is SweepAxis.POWER_DBM:
-        return replace(spec.radio, tx_power_dbm=value), spec.num_uavs, spec.area
+        return RadioParams(*spec.radio._replace(tx_power_dbm=value)), spec.num_uavs, spec.area
     if spec.axis is SweepAxis.FREQUENCY_HZ:
-        return replace(spec.radio, frequency_hz=value), spec.num_uavs, spec.area
+        return RadioParams(*spec.radio._replace(frequency_hz=value)), spec.num_uavs, spec.area
     if spec.axis is SweepAxis.AREA_SIDE_M:
         return spec.radio, spec.num_uavs, AreaSpec(value, value)
     count = int(value)
@@ -166,14 +173,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec, tuple(rows))
 
 
-@dataclass(frozen=True)
-class PowerRatioCell:
+class PowerRatioCell(NamedTuple):
     packet_size_bits: int
     loss_ratio: float | None  # None when the high-power loss is zero
 
 
-@dataclass(frozen=True)
-class PowerRatioPair:
+class PowerRatioPair(NamedTuple):
     power_low_dbm: float
     power_high_dbm: float
     nominal_power_ratio: float  # power_high / power_low

@@ -8,25 +8,30 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from fanetsim.rng import SplitMix64, distinct_indices
 
 
-@dataclass(frozen=True)
-class AreaSpec:
-    """Rectangular flight area, in meters."""
-
+# A NamedTuple body may not define __new__, so AreaSpec's checks run in a subclass.
+class _AreaSpec(NamedTuple):
     width_m: float
     height_m: float
 
-    def __post_init__(self):
+
+class AreaSpec(_AreaSpec):
+    """Rectangular flight area, in meters."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.width_m > 0 and self.height_m > 0):
             raise ValueError("area dimensions must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(NamedTuple):
     """Immutable constellation snapshot: positions, directional pairs, and provenance."""
 
     positions: tuple[tuple[float, float], ...]

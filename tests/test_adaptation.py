@@ -118,16 +118,35 @@ def test_rung_without_curve_rejected():
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^policy needs at least one power rung$"):
         AdaptationPolicy(rungs=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rung powers must be strictly increasing$"):
         AdaptationPolicy(rungs=(PowerRung(7.0, 40.0), PowerRung(5.0, 50.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^initial_packet_bits must be >= 1$"):
         AdaptationPolicy(rungs=(PowerRung(5.0, 50.0),), initial_packet_bits=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^growth_step_bits and backoff_bits must be >= 0$"):
         AdaptationPolicy(rungs=(PowerRung(5.0, 50.0),), growth_step_bits=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^growth_step_bits and backoff_bits must be >= 0$"):
+        AdaptationPolicy(rungs=(PowerRung(5.0, 50.0),), backoff_bits=-1)
+    with pytest.raises(ValueError, match="^max_ticks must be >= 1$"):
         AdaptationPolicy(rungs=(PowerRung(5.0, 50.0),), max_ticks=0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PowerRung(5.0, 50.0),
+        lambda: default_policy(),
+        lambda: run_adaptation(default_policy(), default_curve_family())[0],
+        lambda: summarize_trace(run_adaptation(default_policy(), default_curve_family())),
+    ],
+)
+def test_records_are_immutable_values(make):
+    record = make()
+    assert make() == record
+    for name in (*record._fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_trace_invariants():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fanetsim import CurveFamily, LossCurve, default_policy, run_adaptation
 from fanetsim.cli import _SUBCOMMANDS, build_parser, main
-from fanetsim.config import _CONFIG_KEYS
+from fanetsim.config import RunConfig
 from fanetsim.output import OutputFormat, emit_table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -248,6 +248,9 @@ def test_json_format_sweep_parses(capsys):
         (["predict", "--power", "9"], "the following arguments are required: --loss"),
         (["sweep-power", "--no-such-flag", "1"], "unrecognized arguments: --no-such-flag 1"),
         (["sweep-power", "a\nb"], "unrecognized arguments: a\\nb"),
+        # A flag's prefix is no abbreviation of it.
+        (["sweep-power", "--power", "9"], "unrecognized arguments: --power 9"),
+        (["adapt", "--max", "5"], "unrecognized arguments: --max 5"),
     ],
 )
 def test_invalid_flag_values_are_config_errors(argv, message, capsys):
@@ -368,23 +371,35 @@ def test_fuzzed_argv_exits_within_the_contract(argv):
         assert stderr.getvalue().count("\n") == 1, (argv, stderr.getvalue())
 
 
-def test_default_commands_other_than_fit_never_import_numpy():
-    # Importing numpy costs more than the paper's commands compute, so only
-    # fit (and blocks of 256 or more draws) may load it. fit runs last as a
-    # check that the probe does see numpy once it is loaded.
-    numpy_free = [argv for argv in ALL_SUBCOMMAND_ARGS if argv[0] != "fit"]
+# Modules each command must leave unloaded. numpy costs more to import than
+# the paper's commands compute, so only fit may load it (and the inspect it
+# pulls in); dataclasses, which loads inspect, ast and dis, no command may.
+_FORBIDDEN_MODULES = {argv[0]: {"dataclasses", "inspect", "numpy"} for argv in ALL_SUBCOMMAND_ARGS}
+_FORBIDDEN_MODULES["fit"] = {"dataclasses"}
+
+
+def test_each_command_leaves_its_forbidden_modules_unloaded():
+    # One fresh interpreter runs every command, fit last: the numpy it loads
+    # is the check that the probe sees an import once it happens.
+    argvs = [argv for argv in ALL_SUBCOMMAND_ARGS if argv[0] != "fit"] + [["fit"]]
+    watched = sorted(set().union(*_FORBIDDEN_MODULES.values()))
     script = (
         "import contextlib, io, sys\n"
         "from fanetsim.cli import main\n"
-        f"for argv in {numpy_free!r} + [['fit']]:\n"
+        f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "    print(argv[0], 'numpy' in sys.modules)\n"
+        f"    print(argv[0], *[m for m in {watched!r} if m in sys.modules])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [f"{argv[0]} False" for argv in numpy_free] + ["fit True"]
+    loaded = {line.split()[0]: set(line.split()[1:]) for line in proc.stdout.splitlines()}
+    assert list(loaded) == [argv[0] for argv in argvs]
+    assert {command: modules & _FORBIDDEN_MODULES[command] for command, modules in loaded.items()} == {
+        argv[0]: set() for argv in argvs
+    }
+    assert "numpy" in loaded["fit"]
 
 
 # Config-file values: the argv fuzz's numbers as JSON numbers (NaN and
@@ -446,7 +461,7 @@ _CONFIG_DOCUMENTS = st.integers(0, 7).flatmap(lambda i: _JSON_VALUES if i == 0 e
 
 
 def test_config_fuzz_covers_every_config_key():
-    assert sorted(_CONFIG_VALUES) == sorted(_CONFIG_KEYS)
+    assert sorted(_CONFIG_VALUES) == sorted(RunConfig._fields)
 
 
 @settings(max_examples=300, deadline=None)

@@ -40,6 +40,14 @@ def test_empty_file_equals_defaults():
     assert parse_config("{}", {}) == parse_config(None, {})
 
 
+def test_run_config_is_an_immutable_value():
+    cfg = parse_config(None, {"seed": 7})
+    assert parse_config('{"seed": 7}', {}) == cfg
+    for name in (*cfg._fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, None)
+
+
 def test_file_overrides_defaults_and_flags_override_file():
     file_text = json.dumps({"num_uavs": 30, "seed": 7})
     cfg = parse_config(file_text, {})

@@ -112,12 +112,28 @@ def test_round_trip_identities():
 
 
 def test_family_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^curve family must hold at least one curve$"):
         CurveFamily(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^curve powers must be strictly increasing$"):
         CurveFamily((LossCurve(1.0, 0.0, 7.0), LossCurve(1.0, 0.0, 5.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^curve powers must be strictly increasing$"):
         CurveFamily((LossCurve(1.0, 0.0, 7.0), LossCurve(1.0, 0.0, 7.0)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LossCurve(6.8, 26.0, 5.0),
+        lambda: default_curve_family(),
+        lambda: predict_with_oracle(20.0, 9.0, default_curve_family()),
+    ],
+)
+def test_records_are_immutable_values(make):
+    record = make()
+    assert make() == record
+    for name in (*record._fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_predict_at_anchor_equals_inversion():

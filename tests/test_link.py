@@ -221,8 +221,23 @@ def test_radio_params_validation_and_defaults():
     assert radio.noise_floor_dbm == -100.0
     assert radio.frequency_hz == 2.4e9
     assert radio.ber_model is BerModel.EXP_HALF_SNR
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^frequency_hz must be positive$"):
         RadioParams(frequency_hz=0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RadioParams(5.0, -90.0, 5.8e9, BerModel.EXP_SNR),
+        lambda: link_quality(100.0, RadioParams(), 1000),
+    ],
+)
+def test_records_are_immutable_values(make):
+    record = make()
+    assert make() == record
+    for name in (*record._fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_loss_monotonic_in_packet_size_distance_frequency():

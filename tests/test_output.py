@@ -1,12 +1,18 @@
 """Deterministic document emission."""
 
+import csv
+import io
 import json
 import os
 import stat
+from enum import Enum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanetsim import (
+    AdaptationPolicy,
     CurveFamily,
     LossCurve,
     PacketSizePrediction,
@@ -14,6 +20,12 @@ from fanetsim import (
     SweepRow,
     TraceEvent,
     TraceSample,
+    default_curve_family,
+    default_policy,
+    fit_family_from_power_sweep,
+    predict_with_oracle,
+    run_adaptation,
+    run_sweep,
 )
 from fanetsim.output import OutputFormat, emit_table, format_float, write_document
 from fanetsim.sweeps import SweepAxis, SweepSpec
@@ -120,6 +132,89 @@ def test_prediction_documents():
     no_grid = PacketSizePrediction(20.0, 6.0, 2.053251143236552, None)
     assert "grid" not in emit_table(no_grid, OutputFormat.CSV).splitlines()[-1]
     assert json.loads(emit_table(no_grid, OutputFormat.JSON))["grid_bits"] is None
+
+
+def _sig6(value: float) -> float:
+    """value rounded to 6 significant digits, by another route than format_float."""
+    return float(f"{value:.5e}")
+
+
+def _assert_table_parses_back(result, key, rows):
+    """The CSV and JSON documents of result both parse back to rows at 6 significant digits."""
+    from_csv = list(csv.DictReader(io.StringIO(emit_table(result, OutputFormat.CSV))))
+    from_json = json.loads(emit_table(result, OutputFormat.JSON))[key]
+    assert len(from_csv) == len(from_json) == len(rows)
+    for row, csv_row, json_row in zip(rows, from_csv, from_json):
+        assert list(csv_row) == list(json_row) and set(csv_row) <= set(row._fields)
+        for name, cell in csv_row.items():
+            want = getattr(row, name)
+            if isinstance(want, Enum):
+                assert cell == json_row[name] == want.value
+            elif isinstance(want, int):
+                assert int(cell) == json_row[name] == want
+            else:
+                assert float(cell) == json_row[name] == _sig6(want)
+
+
+_SWEEP_AXIS_VALUES = {
+    SweepAxis.POWER_DBM: st.floats(-20.0, 20.0),
+    SweepAxis.FREQUENCY_HZ: st.floats(1e8, 6e10),
+    SweepAxis.AREA_SIDE_M: st.floats(10.0, 5000.0),
+    SweepAxis.UAV_COUNT: st.integers(6, 30).map(float),
+}
+
+
+@st.composite
+def _small_sweep_specs(draw, axes=tuple(SweepAxis), min_sizes=1):
+    axis = draw(st.sampled_from(axes))
+    return SweepSpec(
+        base_seed=draw(st.integers(0, 2**32)),
+        axis=axis,
+        axis_values=tuple(sorted(draw(st.sets(_SWEEP_AXIS_VALUES[axis], min_size=1, max_size=4)))),
+        num_uavs=draw(st.integers(6, 20)),
+        num_pairs=draw(st.integers(1, 10)),
+        packet_sizes=tuple(sorted(draw(st.sets(st.integers(1, 20000), min_size=min_sizes, max_size=4)))),
+        replicates=draw(st.integers(1, 3)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_sweep_specs())
+def test_sweep_documents_parse_back_to_their_rows(spec):
+    result = run_sweep(spec)
+    _assert_table_parses_back(result, "rows", result.rows)
+    echo = json.loads(emit_table(result, OutputFormat.JSON))["spec"]
+    assert echo["axis_values"] == [_sig6(v) for v in spec.axis_values]
+
+
+@settings(max_examples=20, deadline=None)
+@given(_small_sweep_specs(axes=(SweepAxis.POWER_DBM,), min_sizes=2))
+def test_fit_documents_parse_back_to_their_curves(spec):
+    family = fit_family_from_power_sweep(run_sweep(spec))
+    _assert_table_parses_back(family, "curves", family.curves)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 100), st.integers(1, 50), st.integers(0, 30))
+def test_trace_documents_parse_back_to_their_samples(initial, growth, backoff):
+    policy = AdaptationPolicy(default_policy().rungs, initial, growth, backoff)
+    trace = run_adaptation(policy, default_curve_family())
+    _assert_table_parses_back(trace, "samples", trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 60.0), st.one_of(st.sampled_from([5.0, 7.0, 9.0]), st.floats(5.0, 9.0)))
+def test_prediction_documents_parse_back_to_their_prediction(loss, power):
+    pred = predict_with_oracle(loss, power, default_curve_family())
+    methods = dict(list(csv.reader(io.StringIO(emit_table(pred, OutputFormat.CSV))))[1:])
+    assert float(methods.pop("analytic")) == _sig6(pred.analytic_bits)
+    assert methods == ({} if pred.grid_bits is None else {"grid": str(pred.grid_bits)})
+    assert json.loads(emit_table(pred, OutputFormat.JSON)) == {
+        "loss_percent": _sig6(pred.loss_percent),
+        "power_dbm": _sig6(pred.power_dbm),
+        "analytic_bits": _sig6(pred.analytic_bits),
+        "grid_bits": pred.grid_bits,
+    }
 
 
 def test_emit_table_rejects_unknown_types():

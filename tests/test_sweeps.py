@@ -1,7 +1,6 @@
 """Sweep grids: consistency, trends, replicate statistics, power ratios."""
 
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ from hypothesis import strategies as st
 
 from fanetsim import (
     AreaSpec,
+    PowerRatioCell,
+    PowerRatioPair,
     RadioParams,
     SweepResult,
     SweepRow,
@@ -152,22 +153,47 @@ def test_count_sweep_argument_errors():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^axis_values must be non-empty$"):
         SweepSpec(base_seed=1, axis=SweepAxis.POWER_DBM, axis_values=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^axis_values must be strictly increasing$"):
         SweepSpec(base_seed=1, axis=SweepAxis.POWER_DBM, axis_values=(9.0, 5.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^replicates must be >= 1$"):
         SweepSpec(base_seed=1, axis=SweepAxis.POWER_DBM, axis_values=(5.0,), replicates=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^packet_sizes must be non-empty$"):
         SweepSpec(base_seed=1, axis=SweepAxis.POWER_DBM, axis_values=(5.0,), packet_sizes=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^packet_sizes must be strictly increasing$"):
         SweepSpec(base_seed=1, axis=SweepAxis.POWER_DBM, axis_values=(5.0,), packet_sizes=(100, 10))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^packet sizes must be integers >= 1$"):
         SweepSpec(base_seed=1, axis=SweepAxis.POWER_DBM, axis_values=(5.0,), packet_sizes=(0, 10))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^num_uavs must be at least 2$"):
         SweepSpec(base_seed=1, axis=SweepAxis.POWER_DBM, axis_values=(5.0,), num_uavs=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^num_pairs must be >= 1$"):
         SweepSpec(base_seed=1, axis=SweepAxis.POWER_DBM, axis_values=(5.0,), num_pairs=0)
+
+
+@pytest.mark.parametrize("frequency_hz", [0.0, -2.4e9])
+def test_swept_radio_is_validated(frequency_hz):
+    spec = SweepSpec(base_seed=1, axis=SweepAxis.FREQUENCY_HZ, axis_values=(frequency_hz, 2.4e9))
+    with pytest.raises(ValueError, match="^frequency_hz must be positive$"):
+        run_sweep(spec)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SweepSpec(base_seed=1, axis=SweepAxis.POWER_DBM, axis_values=(5.0,)),
+        lambda: SweepRow(5.0, 10, 12.5, 0.25),
+        lambda: run_sweep(SweepSpec(1, SweepAxis.POWER_DBM, (5.0,), packet_sizes=(10,))),
+        lambda: PowerRatioCell(10, None),
+        lambda: PowerRatioPair(5.0, 7.0, 1.4, (PowerRatioCell(10, 2.0),), 2.0),
+    ],
+)
+def test_records_are_immutable_values(make):
+    record = make()
+    assert make() == record
+    for name in (*record._fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_identical_specs_give_identical_results(power_result):
@@ -253,9 +279,9 @@ def _reference_sweep(spec):
     for value in spec.axis_values:
         radio, num_uavs, area = spec.radio, spec.num_uavs, spec.area
         if spec.axis is SweepAxis.POWER_DBM:
-            radio = replace(radio, tx_power_dbm=value)
+            radio = RadioParams(value, radio.noise_floor_dbm, radio.frequency_hz, radio.ber_model)
         elif spec.axis is SweepAxis.FREQUENCY_HZ:
-            radio = replace(radio, frequency_hz=value)
+            radio = RadioParams(radio.tx_power_dbm, radio.noise_floor_dbm, value, radio.ber_model)
         elif spec.axis is SweepAxis.AREA_SIDE_M:
             area = AreaSpec(value, value)
         else:

@@ -13,10 +13,25 @@ from fanetsim.rng import MASK64, SplitMix64
 
 
 def test_area_requires_positive_dimensions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^area dimensions must be positive$"):
         AreaSpec(0.0, 1500.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^area dimensions must be positive$"):
         AreaSpec(1500.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: AreaSpec(3.0, 4.0),
+        lambda: Topology(((0.0, 0.0), (1.0, 2.0)), ((0, 1),), 7, AreaSpec(3.0, 4.0)),
+    ],
+)
+def test_records_are_immutable_values(make):
+    record = make()
+    assert make() == record
+    for name in (*record._fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_positions_within_bounds_and_pairs_valid(seed42_topology):
