@@ -3,14 +3,13 @@
 
 Reproduces the headline datasets: loss vs packet size for three transmit
 powers, three carrier frequencies, five flight-area sizes (averaged over
-32 replicate constellations) and five swarm sizes, plus the loss-ratio
-table behind the "losses scale like the power ratio" observation.
+32 replicate constellations) and five swarm sizes, plus the loss ratio
+between each two powers beside their transmit-power ratio.
 """
 
-from fanetsim import (
-    power_ratio_report,
-    run_sweep,
-)
+from itertools import combinations
+
+from fanetsim import run_sweep
 from fanetsim.sweeps import (
     DEFAULT_AREA_AXIS_M,
     DEFAULT_COUNT_AXIS,
@@ -61,12 +60,10 @@ show(count, "mean loss % by swarm size, 32 replicate constellations")
 print("  (a pure free-space model has no congestion: the count only moves sampling noise)")
 
 print("\n=== loss ratios between powers (single seed-42 constellation) ===")
-for pair in power_ratio_report(power):
-    cells = ", ".join(
-        "-" if c.loss_ratio is None else f"{c.loss_ratio:.2f}" for c in pair.cells
-    )
+loss = {(r.axis_value, r.packet_size_bits): r.mean_loss_percent for r in power.rows}
+for low, high in combinations(power.spec.axis_values, 2):
+    ratios = ", ".join(f"{loss[(low, s)] / loss[(high, s)]:.2f}" for s in SIZES)
     print(
-        f"  {pair.power_low_dbm:g} -> {pair.power_high_dbm:g} dBm: nominal power ratio "
-        f"{pair.nominal_power_ratio:.2f}, loss ratios by size [{cells}], "
-        f"mean {pair.mean_loss_ratio:.2f}"
+        f"  {low:g} -> {high:g} dBm: power ratio 10^(({high:g}-{low:g})/10) = "
+        f"{10.0 ** ((high - low) / 10.0):.2f}, loss ratios by size [{ratios}]"
     )

@@ -1,33 +1,24 @@
 #!/usr/bin/env python3
-"""Regenerate the committed golden datasets.
+"""Regenerate the committed golden datasets listed in tests/golden_runs.py.
 
 Run only when a behaviour change is intended; the test suite compares
 every run against these bytes.
 """
 
+import sys
 from pathlib import Path
 
-from fanetsim.cli import main
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+from golden_runs import GOLDEN_DIR, GOLDEN_RUNS  # noqa: E402
 
-RUNS = [
-    (["topology", "--seed", "42", "--format", "json"], "topology_seed42.json"),
-    (["sweep-power", "--seed", "42"], "sweep_power_seed42.csv"),
-    (["sweep-frequency", "--seed", "42"], "sweep_frequency_seed42.csv"),
-    (["sweep-area", "--seed", "42"], "sweep_area_seed42.csv"),
-    (["sweep-count", "--seed", "42"], "sweep_count_seed42.csv"),
-    (["adapt"], "adaptation_trace.csv"),
-    (["sweep-power", "--seed", "42", "--format", "json"], "sweep_power_seed42.json"),
-    (["adapt", "--format", "json"], "adaptation_trace.json"),
-    (["predict", "--loss", "20", "--power", "9", "--format", "json"], "predict_loss20_power9.json"),
-]
+from fanetsim.cli import main  # noqa: E402
 
 
 def regenerate() -> None:
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    for argv, name in RUNS:
-        out = GOLDEN / name
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for argv, name in GOLDEN_RUNS:
+        out = GOLDEN_DIR / name
         status = main([*argv, "--out", str(out)])
         if status != 0:
             raise SystemExit(f"{argv} exited with status {status}")

@@ -52,13 +52,10 @@ from fanetsim.sweeps import (
     DEFAULT_FREQUENCY_AXIS_HZ,
     DEFAULT_PACKET_SIZES,
     DEFAULT_POWER_AXIS_DBM,
-    PowerRatioCell,
-    PowerRatioPair,
     SweepAxis,
     SweepResult,
     SweepRow,
     SweepSpec,
-    power_ratio_report,
     run_sweep,
 )
 from fanetsim.topology import (

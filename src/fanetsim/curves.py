@@ -71,25 +71,22 @@ def fit_log_curve(points: Sequence[tuple[float, float]], power_dbm: float) -> Lo
 
     slope = cov(ln x, y) / var(ln x), intercept = mean(y) - slope * mean(ln x).
     """
-    # numpy is imported here so that only fitting pays for it. Its log
-    # rounds differently from math.log on a few inputs, so it is kept.
-    import numpy as np
-
     if len(points) < 2:
         raise ValueError("need at least 2 points to fit a curve")
-    xs = np.asarray([x for x, _ in points], dtype=float)
-    ys = np.asarray([y for _, y in points], dtype=float)
-    if np.any(xs < 1):
+    xs = [float(x) for x, _ in points]
+    ys = [float(y) for _, y in points]
+    if any(x < 1 for x in xs):
         raise ValueError("packet sizes must be >= 1 bit")
-    if len(set(xs.tolist())) < 2:
+    if len(set(xs)) < 2:
         raise ValueError("need at least 2 distinct packet sizes to fit a curve")
-    lx = np.log(xs)
-    lx_mean = float(np.mean(lx))
-    y_mean = float(np.mean(ys))
-    var = float(np.mean((lx - lx_mean) ** 2))
+    n = len(points)
+    lx = [math.log(x) for x in xs]
+    lx_mean = math.fsum(lx) / n
+    y_mean = math.fsum(ys) / n
+    var = math.fsum([(a - lx_mean) ** 2 for a in lx]) / n
     if var == 0.0:
         raise ValueError("degenerate fit data: ln(x) has zero variance")
-    cov = float(np.mean((lx - lx_mean) * (ys - y_mean)))
+    cov = math.fsum([(a - lx_mean) * (y - y_mean) for a, y in zip(lx, ys)]) / n
     slope = cov / var
     intercept = y_mean - slope * lx_mean
     return LossCurve(slope, intercept, power_dbm)

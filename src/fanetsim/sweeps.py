@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import combinations
 from typing import NamedTuple
 
 from fanetsim.link import RadioParams, pair_mean_losses_percent
@@ -110,42 +109,15 @@ def _pair_distances(spec: SweepSpec, r: int, num_uavs: int, area: AreaSpec) -> l
     return distances
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """Sum in numpy's pairwise order, so that _mean and _std equal np.mean and np.std bit for bit.
-
-    Sequential below 8 values, eight interleaved accumulators up to 128, and
-    above that the two halves (split at a multiple of 8) summed on their own.
-    The loops add plainly because the builtin sum() compensates rounding
-    from Python 3.12 on.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n <= 128:
-        acc = values[:8]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            acc = [a + v for a, v in zip(acc, values[i : i + 8])]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for v in values[tail:]:
-            total += v
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-
-
 def _mean(values: list[float]) -> float:
-    # numpy's sum starts from 0.0, which turns a sum of -0.0 into 0.0.
-    return (0.0 + _pairwise_sum(values)) / len(values)
+    # fsum is correctly rounded. 0.0 + turns a sum of -0.0 into 0.0, so no cell prints as -0.
+    return (0.0 + math.fsum(values)) / len(values)
 
 
 def _std(values: list[float]) -> float:
-    """Population standard deviation, as np.std computes it."""
+    """Population standard deviation."""
     mean = _mean(values)
-    return math.sqrt(_pairwise_sum([(v - mean) * (v - mean) for v in values]) / len(values))
+    return math.sqrt(math.fsum([(v - mean) * (v - mean) for v in values]) / len(values))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -172,45 +144,3 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             rows.append(SweepRow(label, size, _mean(losses), _std(losses)))
     return SweepResult(spec, tuple(rows))
 
-
-class PowerRatioCell(NamedTuple):
-    packet_size_bits: int
-    loss_ratio: float | None  # None when the high-power loss is zero
-
-
-class PowerRatioPair(NamedTuple):
-    power_low_dbm: float
-    power_high_dbm: float
-    nominal_power_ratio: float  # power_high / power_low
-    cells: tuple[PowerRatioCell, ...]
-    mean_loss_ratio: float | None
-
-
-def power_ratio_report(result: SweepResult) -> tuple[PowerRatioPair, ...]:
-    """loss(p_low)/loss(p_high) per packet size for every power pairing.
-
-    Cells where the high-power loss is exactly zero are reported as absent
-    rather than infinite; the per-pairing mean skips them.
-    """
-    if result.spec.axis is not SweepAxis.POWER_DBM:
-        raise ValueError(f"spec axis is {result.spec.axis.value}, expected {SweepAxis.POWER_DBM.value}")
-    powers = result.spec.axis_values
-    if len(powers) < 2:
-        raise ValueError("power ratio report needs at least 2 powers")
-    loss = {(row.axis_value, row.packet_size_bits): row.mean_loss_percent for row in result.rows}
-
-    pairs = []
-    for low, high in combinations(powers, 2):
-        cells = []
-        ratios = []
-        for size in result.spec.packet_sizes:
-            loss_high = loss[(high, size)]
-            if loss_high == 0.0:
-                cells.append(PowerRatioCell(size, None))
-                continue
-            ratio = loss[(low, size)] / loss_high
-            cells.append(PowerRatioCell(size, ratio))
-            ratios.append(ratio)
-        mean_ratio = _mean(ratios) if ratios else None
-        pairs.append(PowerRatioPair(low, high, high / low, tuple(cells), mean_ratio))
-    return tuple(pairs)

@@ -1,10 +1,9 @@
 from pathlib import Path
 
 import pytest
+from golden_runs import GOLDEN_DIR
 
 from fanetsim import AreaSpec, generate_topology
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="session")

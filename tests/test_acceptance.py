@@ -28,6 +28,7 @@ from fanetsim import (
 )
 from fanetsim.cli import main
 from fanetsim.sweeps import SweepAxis, SweepSpec
+from golden_runs import GOLDEN_RUNS
 
 SIZES = (10, 100, 1000, 10000)
 
@@ -194,24 +195,13 @@ def test_criterion_8_fit_recovery_and_inversion_identity():
     _pass(8, "noiseless fit returns (6.8, 26) to 1e-9; inversion identity holds on [1, 1e6]")
 
 
-def test_criterion_9_determinism_and_golden_files(capsys, golden_dir, tmp_path):
-    runs = [
-        (["topology", "--seed", "42", "--format", "json"], "topology_seed42.json"),
-        (["sweep-power", "--seed", "42"], "sweep_power_seed42.csv"),
-        (["sweep-frequency", "--seed", "42"], "sweep_frequency_seed42.csv"),
-        (["sweep-area", "--seed", "42"], "sweep_area_seed42.csv"),
-        (["sweep-count", "--seed", "42"], "sweep_count_seed42.csv"),
-        (["adapt"], "adaptation_trace.csv"),
-        (["fit", "--seed", "42"], None),
-        (["predict", "--loss", "20", "--power", "9"], None),
-    ]
-    for argv, golden_name in runs:
+def test_criterion_9_determinism_and_golden_files(capsys, golden_dir):
+    for argv, golden_name in GOLDEN_RUNS:
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
-        if golden_name is not None:
-            assert first == (golden_dir / golden_name).read_text(encoding="utf-8")
+        assert first == (golden_dir / golden_name).read_text(encoding="utf-8")
     capsys.readouterr()
     _pass(9, "all subcommands byte-identical across reruns and equal to committed goldens")

@@ -20,6 +20,7 @@ from fanetsim import CurveFamily, LossCurve, default_policy, run_adaptation
 from fanetsim.cli import _SUBCOMMANDS, build_parser, main
 from fanetsim.config import RunConfig
 from fanetsim.output import OutputFormat, emit_table
+from golden_runs import GOLDEN_RUNS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,25 +57,18 @@ def test_unknown_flag_exits_2():
     assert excinfo.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv,golden_name",
-    [
-        (["topology", "--seed", "42", "--format", "json"], "topology_seed42.json"),
-        (["sweep-power", "--seed", "42"], "sweep_power_seed42.csv"),
-        (["sweep-frequency", "--seed", "42"], "sweep_frequency_seed42.csv"),
-        (["sweep-area", "--seed", "42"], "sweep_area_seed42.csv"),
-        (["sweep-count", "--seed", "42"], "sweep_count_seed42.csv"),
-        (["adapt"], "adaptation_trace.csv"),
-        (["sweep-power", "--seed", "42", "--format", "json"], "sweep_power_seed42.json"),
-        (["adapt", "--format", "json"], "adaptation_trace.json"),
-        (["predict", "--loss", "20", "--power", "9", "--format", "json"], "predict_loss20_power9.json"),
-    ],
-)
+@pytest.mark.parametrize("argv,golden_name", GOLDEN_RUNS)
 def test_subcommands_reproduce_golden_datasets(argv, golden_name, capsys, golden_dir):
     status, out, err = _run(argv, capsys)
     assert status == 0
     assert err == ""
     assert out == (golden_dir / golden_name).read_text(encoding="utf-8")
+
+
+def test_every_golden_file_comes_from_exactly_one_run(golden_dir):
+    names = [name for _, name in GOLDEN_RUNS]
+    assert len(set(names)) == len(names)
+    assert sorted(path.name for path in golden_dir.iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("argv", ALL_SUBCOMMAND_ARGS)
@@ -371,35 +365,34 @@ def test_fuzzed_argv_exits_within_the_contract(argv):
         assert stderr.getvalue().count("\n") == 1, (argv, stderr.getvalue())
 
 
-# Modules each command must leave unloaded. numpy costs more to import than
-# the paper's commands compute, so only fit may load it (and the inspect it
-# pulls in); dataclasses, which loads inspect, ast and dis, no command may.
-_FORBIDDEN_MODULES = {argv[0]: {"dataclasses", "inspect", "numpy"} for argv in ALL_SUBCOMMAND_ARGS}
-_FORBIDDEN_MODULES["fit"] = {"dataclasses"}
+# Modules no command may load. numpy costs more to import than the paper's
+# commands compute (and it pulls in inspect); dataclasses loads inspect, ast
+# and dis.
+_FORBIDDEN_MODULES = ("dataclasses", "inspect", "numpy")
 
 
 def test_each_command_leaves_its_forbidden_modules_unloaded():
-    # One fresh interpreter runs every command, fit last: the numpy it loads
-    # is the check that the probe sees an import once it happens.
-    argvs = [argv for argv in ALL_SUBCOMMAND_ARGS if argv[0] != "fit"] + [["fit"]]
-    watched = sorted(set().union(*_FORBIDDEN_MODULES.values()))
+    # One fresh interpreter runs every command, then a 200-UAV topology: its
+    # 410 draws take numpy's block branch, and the numpy it loads is the check
+    # that the probe sees an import once it happens.
+    argvs = [*ALL_SUBCOMMAND_ARGS, ["topology", "--num-uavs", "200", "--format", "json"]]
     script = (
         "import contextlib, io, sys\n"
         "from fanetsim.cli import main\n"
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        f"    print(argv[0], *[m for m in {watched!r} if m in sys.modules])\n"
+        f"    print(*[m for m in {_FORBIDDEN_MODULES!r} if m in sys.modules])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = {line.split()[0]: set(line.split()[1:]) for line in proc.stdout.splitlines()}
-    assert list(loaded) == [argv[0] for argv in argvs]
-    assert {command: modules & _FORBIDDEN_MODULES[command] for command, modules in loaded.items()} == {
-        argv[0]: set() for argv in argvs
+    loaded = [line.split() for line in proc.stdout.splitlines()]
+    assert len(loaded) == len(argvs)
+    assert {argv[0]: modules for argv, modules in zip(ALL_SUBCOMMAND_ARGS, loaded)} == {
+        argv[0]: [] for argv in ALL_SUBCOMMAND_ARGS
     }
-    assert "numpy" in loaded["fit"]
+    assert "numpy" in loaded[-1]
 
 
 # Config-file values: the argv fuzz's numbers as JSON numbers (NaN and

@@ -1,6 +1,8 @@
-"""Sweep grids: consistency, trends, replicate statistics, power ratios."""
+"""Sweep grids: consistency, trends, replicate statistics."""
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +11,6 @@ from hypothesis import strategies as st
 
 from fanetsim import (
     AreaSpec,
-    PowerRatioCell,
-    PowerRatioPair,
     RadioParams,
     SweepResult,
     SweepRow,
@@ -18,7 +18,6 @@ from fanetsim import (
     generate_topology,
     mean_pair_loss_percent,
     pair_mean_losses_percent,
-    power_ratio_report,
     run_sweep,
 )
 from fanetsim.sweeps import SweepAxis, SweepSpec, _mean, _std
@@ -184,8 +183,6 @@ def test_swept_radio_is_validated(frequency_hz):
         lambda: SweepSpec(base_seed=1, axis=SweepAxis.POWER_DBM, axis_values=(5.0,)),
         lambda: SweepRow(5.0, 10, 12.5, 0.25),
         lambda: run_sweep(SweepSpec(1, SweepAxis.POWER_DBM, (5.0,), packet_sizes=(10,))),
-        lambda: PowerRatioCell(10, None),
-        lambda: PowerRatioPair(5.0, 7.0, 1.4, (PowerRatioCell(10, 2.0),), 2.0),
     ],
 )
 def test_records_are_immutable_values(make):
@@ -219,62 +216,19 @@ def test_replicates_spread_statistics():
     assert row.std_loss_percent > 0.0
 
 
-def test_power_ratio_report_identical_columns_all_ones():
-    spec = SweepSpec(base_seed=1, axis=SweepAxis.POWER_DBM, axis_values=(5.0, 9.0), packet_sizes=(10, 100))
-    rows = tuple(
-        SweepRow(power, size, 33.0, 0.0) for power in (5.0, 9.0) for size in (10, 100)
-    )
-    report = power_ratio_report(SweepResult(spec, rows))
-    assert len(report) == 1
-    pair = report[0]
-    assert pair.nominal_power_ratio == pytest.approx(1.8)
-    assert [cell.loss_ratio for cell in pair.cells] == [1.0, 1.0]
-    assert pair.mean_loss_ratio == 1.0
+def _exact_mean(values):
+    """The mean with the sum taken exactly and rounded once, then divided by n."""
+    return float(sum(map(Fraction, values))) / len(values)
 
 
-def test_power_ratio_report_zero_high_loss_reported_absent():
-    spec = SweepSpec(base_seed=1, axis=SweepAxis.POWER_DBM, axis_values=(5.0, 9.0), packet_sizes=(10, 100))
-    rows = (
-        SweepRow(5.0, 10, 10.0, 0.0),
-        SweepRow(5.0, 100, 20.0, 0.0),
-        SweepRow(9.0, 10, 0.0, 0.0),
-        SweepRow(9.0, 100, 5.0, 0.0),
-    )
-    pair = power_ratio_report(SweepResult(spec, rows))[0]
-    assert pair.cells[0].loss_ratio is None
-    assert pair.cells[1].loss_ratio == pytest.approx(4.0)
-    assert pair.mean_loss_ratio == pytest.approx(4.0)
-
-
-def test_power_ratio_report_golden_values(power_result):
-    report = power_ratio_report(power_result)
-    assert [(p.power_low_dbm, p.power_high_dbm) for p in report] == [(5.0, 7.0), (5.0, 9.0), (7.0, 9.0)]
-    five_nine = report[1]
-    # Frozen from the first run on the golden sweep.
-    expected = (2.5251871447001055, 1.38051150356639, 1.1346073230939762, 1.0488498033769034)
-    for cell, want in zip(five_nine.cells, expected):
-        assert cell.loss_ratio == pytest.approx(want, rel=1e-9)
-    assert five_nine.mean_loss_ratio == pytest.approx(1.5222889436843439, rel=1e-9)
-    ratios = [cell.loss_ratio for cell in five_nine.cells]
-    assert all(r > 1.0 for r in ratios)
-    assert all(b < a for a, b in zip(ratios, ratios[1:]))
-
-
-def test_power_ratio_report_requires_power_axis_and_two_powers():
-    freq = run_sweep(
-        SweepSpec(base_seed=42, axis=SweepAxis.FREQUENCY_HZ, axis_values=(2.4e9,), packet_sizes=(10,))
-    )
-    with pytest.raises(ValueError):
-        power_ratio_report(freq)
-    single = run_sweep(
-        SweepSpec(base_seed=42, axis=SweepAxis.POWER_DBM, axis_values=(7.0,), packet_sizes=(10,))
-    )
-    with pytest.raises(ValueError):
-        power_ratio_report(single)
+def _exact_std(values):
+    """Population std from the exactly summed squared deviations from _exact_mean."""
+    mean = _exact_mean(values)
+    return math.sqrt(float(sum(Fraction((v - mean) * (v - mean)) for v in values)) / len(values))
 
 
 def _reference_sweep(spec):
-    """The per-cell loop: mean_pair_loss_percent per replicate topology, then np.mean / np.std."""
+    """The per-cell loop: mean_pair_loss_percent per replicate topology, then the exact mean and std."""
     rows = []
     for value in spec.axis_values:
         radio, num_uavs, area = spec.radio, spec.num_uavs, spec.area
@@ -291,7 +245,7 @@ def _reference_sweep(spec):
         ]
         for size in spec.packet_sizes:
             losses = [mean_pair_loss_percent(t, radio, size) for t in topologies]
-            rows.append(SweepRow(float(value), size, float(np.mean(losses)), float(np.std(losses))))
+            rows.append(SweepRow(float(value), size, _exact_mean(losses), _exact_std(losses)))
     return SweepResult(spec, tuple(rows))
 
 
@@ -319,7 +273,6 @@ def test_run_sweep_rows_equal_the_per_cell_reference(data, axis):
 
 
 def test_run_sweep_with_130_replicates_equals_the_per_cell_reference():
-    # 130 replicates take the split above 128 values in the mean and std.
     spec = SweepSpec(base_seed=7, axis=SweepAxis.POWER_DBM, axis_values=(5.0, 9.0), num_pairs=4, replicates=130)
     assert run_sweep(spec) == _reference_sweep(spec)
 
@@ -334,24 +287,18 @@ def _loss_like(n: int, seed: int) -> list[float]:
     ]
 
 
-# Lengths up to 1100 cross every branch of numpy's pairwise sum: sequential
-# below 8 values, eight accumulators up to 128, halves above that. Half the
-# lengths sit at a branch boundary.
-_BRANCH_EDGES = [1, 4, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 255, 256, 257, 1100]
-
-
 @settings(max_examples=300, deadline=None)
-@given(n=st.one_of(st.sampled_from(_BRANCH_EDGES), st.integers(1, 1100)), seed=st.integers(0, 2**32))
-def test_mean_and_std_equal_numpy_bit_for_bit(n, seed):
+@given(n=st.integers(1, 1100), seed=st.integers(0, 2**32))
+def test_mean_and_std_equal_the_exact_sum_rounded_once(n, seed):
     values = _loss_like(n, seed)
     # float.hex tells 0.0 from -0.0, which == does not.
-    assert _mean(values).hex() == float(np.mean(values)).hex()
-    assert _std(values).hex() == float(np.std(values)).hex()
+    assert _mean(values).hex() == _exact_mean(values).hex()
+    assert _std(values).hex() == _exact_std(values).hex()
 
 
 def test_mean_of_negative_zeros_is_positive_zero_as_in_numpy():
     values = [-0.0] * 9
-    assert _mean(values).hex() == float(np.mean(values)).hex() == "0x0.0p+0"
+    assert _mean(values).hex() == _exact_mean(values).hex() == float(np.mean(values)).hex() == "0x0.0p+0"
 
 
 def test_pair_mean_losses_equal_mean_pair_loss_at_each_size(seed42_topology):
