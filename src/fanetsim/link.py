@@ -148,17 +148,49 @@ def link_quality(distance_m: float, radio: RadioParams, packet_size_bits: int) -
 
 
 def pair_mean_losses_percent(distances: list[float], radio: RadioParams, sizes: tuple[int, ...]) -> list[float]:
-    """mean_pair_loss_percent at each packet size, from one BER per pair distance."""
+    """mean_pair_loss_percent at each packet size, from one BER per pair distance.
+
+    The radio's transmit power in mW, wavelength, 4 pi and BER exponent are
+    computed once, and each pair runs _budget's expressions in _budget's
+    order, so every BER and mean is the scalar chain's double. A pair that
+    leaves the fast path (a distance <= 0, 0 mW received, an SNR past a
+    double) goes through _budget, which raises the chain's own message; an
+    invalid size or a NaN BER raises packet_loss_prob's.
+    """
     if not distances:
         raise ValueError("topology has no communicating pairs")
-    bers = [_budget(d, radio)[3] for d in distances]
-    means = []
-    for size in sizes:
-        total = 0.0
+    _budget(distances[0], radio)  # the chain's checks of the radio itself, pair 0's message first
+    tx_mw = dbm_to_mw(radio.tx_power_dbm)
+    wavelength = SPEED_OF_LIGHT_M_S / radio.frequency_hz
+    four_pi = 4.0 * math.pi
+    noise_dbm = radio.noise_floor_dbm
+    # ber_from_snr's two models; dividing by 1.0 is exact.
+    snr_divisor = 2.0 if radio.ber_model is BerModel.EXP_HALF_SNR else 1.0
+    log10, exp = math.log10, math.exp
+    bers = []
+    for d in distances:
+        ratio = wavelength / (four_pi * d) if d > 0 else 0.0
+        rx_mw = tx_mw * (ratio * ratio)
+        try:
+            snr_linear = 10.0 ** ((10.0 * log10(rx_mw) - noise_dbm) / 10.0)
+        except (ValueError, OverflowError):
+            bers.append(_budget(d, radio)[3])
+            continue
+        bers.append(0.5 * exp(-snr_linear / snr_divisor))
+    n = len(bers)
+    if all(isinstance(size, int) and size >= 1 for size in sizes):
+        means = []
+        for size in sizes:
+            total = 0.0
+            for ber in bers:
+                total += (1.0 - (1.0 - ber) ** size) * 100.0
+            means.append(total / n)
+        if all(mean == mean for mean in means):  # a NaN radio field or distance gives a NaN BER
+            return means
+    for size in sizes:  # packet_loss_prob's message for the first bad (size, pair)
         for ber in bers:
-            total += packet_loss_prob(ber, size) * 100.0
-        means.append(total / len(bers))
-    return means
+            packet_loss_prob(ber, size)
+    raise AssertionError("unreachable: an invalid size or a NaN BER fails packet_loss_prob")
 
 
 def mean_pair_loss_percent(topology: Topology, radio: RadioParams, packet_size_bits: int) -> float:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from fanetsim.link import RadioParams, pair_mean_losses_percent
 from fanetsim.rng import MASK64
-from fanetsim.topology import AreaSpec, distance, generate_topology
+from fanetsim.topology import AreaSpec, generate_topology
 
 DEFAULT_PACKET_SIZES = (10, 100, 1000, 10000)
 DEFAULT_POWER_AXIS_DBM = (5.0, 7.0, 9.0)
@@ -100,9 +100,15 @@ def _grid_point(spec: SweepSpec, value: float) -> tuple[RadioParams, int, AreaSp
 def _pair_distances(spec: SweepSpec, r: int, num_uavs: int, area: AreaSpec) -> list[float]:
     """Pair distances of replicate r (seed base_seed + r), in pair order; coincident UAVs are named."""
     topology = generate_topology((spec.base_seed + r) & MASK64, num_uavs, area, spec.num_pairs)
+    positions = topology.positions
     distances = []
     for src, dst in topology.pairs:
-        d = distance(topology, src, dst)
+        # topology.distance without its index checks; not math.dist, which rounds differently.
+        xi, yi = positions[src]
+        xj, yj = positions[dst]
+        dx = xi - xj
+        dy = yi - yj
+        d = math.sqrt(dx * dx + dy * dy)
         if d <= 0:
             raise ValueError(f"replicate seed {topology.seed}: the UAVs of pair ({src}, {dst}) coincide")
         distances.append(d)

@@ -5,8 +5,11 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanetsim import (
+    SPEED_OF_LIGHT_M_S,
     AreaSpec,
     BerModel,
     RadioParams,
@@ -19,6 +22,7 @@ from fanetsim import (
     mean_pair_loss_percent,
     mw_to_dbm,
     packet_loss_prob,
+    pair_mean_losses_percent,
 )
 
 LOG2_20 = 20.0 * math.log10(2.0)
@@ -295,3 +299,78 @@ def test_mean_pair_loss_requires_pairs():
     t = Topology(((0.0, 0.0), (1.0, 1.0)), (), 0, AreaSpec(10.0, 10.0))
     with pytest.raises(ValueError):
         mean_pair_loss_percent(t, RadioParams(), 100)
+
+
+def _distance_at_snr(radio, snr_db):
+    """The distance at which the radio's link has the given SNR."""
+    return (SPEED_OF_LIGHT_M_S / radio.frequency_hz / (4.0 * math.pi)
+            * 10.0 ** ((radio.tx_power_dbm - radio.noise_floor_dbm - snr_db) / 20.0))
+
+
+def _chain_means(distances, radio, sizes):
+    """The scalar chain's pair-mean loss in percent at each size: link_quality per pair, summed in pair order."""
+    means = []
+    for size in sizes:
+        total = 0.0
+        for d in distances:
+            total += link_quality(d, radio, size).loss_prob * 100.0
+        means.append(total / len(distances))
+    return means
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    tx_power_dbm=st.floats(-30.0, 40.0),
+    noise_floor_dbm=st.floats(-120.0, -60.0),
+    frequency_hz=st.floats(1e8, 6e10),
+    ber_model=st.sampled_from(list(BerModel)),
+    sizes=st.lists(st.integers(1, 20000), min_size=1, max_size=5),
+)
+def test_pair_mean_losses_equal_the_scalar_chain(data, tx_power_dbm, noise_floor_dbm, frequency_hz, ber_model, sizes):
+    radio = RadioParams(tx_power_dbm, noise_floor_dbm, frequency_hz, ber_model)
+    # Most distances in 1e-3..1e5 m saturate the loss at 0 or 1, where the last bits of the
+    # budget do not show, so some distances are drawn to put the SNR at -5..25 dB.
+    live = st.floats(-5.0, 25.0).map(lambda snr_db: _distance_at_snr(radio, snr_db))
+    distances = data.draw(st.lists(st.floats(1e-3, 1e5) | live, min_size=1, max_size=30))
+    assert pair_mean_losses_percent(distances, radio, tuple(sizes)) == _chain_means(distances, radio, sizes)
+
+
+def test_pair_mean_losses_equal_the_scalar_chain_on_unsaturated_links():
+    # A one-ulp change in the received power survives log10 on only ~2% of links, so many links are needed.
+    picker = random.Random(71)
+    for _ in range(40):
+        radio = RadioParams(picker.uniform(-30.0, 40.0), picker.uniform(-120.0, -60.0), picker.uniform(1e8, 6e10),
+                            picker.choice(list(BerModel)))
+        distances = [_distance_at_snr(radio, picker.uniform(-5.0, 25.0)) for _ in range(100)]
+        sizes = (1, picker.randint(2, 100), picker.randint(100, 20000))
+        assert pair_mean_losses_percent(distances, radio, sizes) == _chain_means(distances, radio, sizes)
+
+
+@pytest.mark.parametrize(
+    "distance_m, radio, size",
+    [
+        (0.0, RadioParams(), 10),
+        (-1.0, RadioParams(), 10),
+        (100.0, RadioParams(tx_power_dbm=1e308), 10),
+        (0.0, RadioParams(tx_power_dbm=1e308), 10),
+        (100.0, RadioParams()._replace(frequency_hz=-2.4e9), 10),
+        (100.0, RadioParams(tx_power_dbm=-3300.0), 10),
+        (100.0, RadioParams(noise_floor_dbm=-4000.0), 10),
+        (100.0, RadioParams(tx_power_dbm=math.nan), 10),
+        (100.0, RadioParams(), 0),
+        (100.0, RadioParams(), 10.0),
+    ],
+)
+@pytest.mark.parametrize("position", [0, 2])
+def test_pair_mean_losses_raise_the_scalar_chains_message(distance_m, radio, size, position):
+    with pytest.raises(ValueError):
+        link_quality(distance_m, radio, size)
+    distances = [50.0, 700.0, 1200.0]
+    distances[position] = distance_m
+    # A fault of the radio shows at pair 0, whatever pair holds the bad distance.
+    with pytest.raises(ValueError) as chain:
+        _chain_means(distances, radio, (1000, size))
+    with pytest.raises(ValueError) as kernel:
+        pair_mean_losses_percent(distances, radio, (1000, size))
+    assert str(kernel.value) == str(chain.value)

@@ -16,13 +16,21 @@ from fanetsim import (
     SweepRow,
     distance,
     generate_topology,
-    mean_pair_loss_percent,
+    link_quality,
     pair_mean_losses_percent,
     run_sweep,
 )
 from fanetsim.sweeps import SweepAxis, SweepSpec, _mean, _std
 
 SIZES = (10, 100, 1000, 10000)
+
+
+def _chain_mean_loss(topology, radio, size):
+    """The pair-mean loss in percent from the scalar chain: link_quality per pair, summed in pair order."""
+    total = 0.0
+    for src, dst in topology.pairs:
+        total += link_quality(distance(topology, src, dst), radio, size).loss_prob * 100.0
+    return total / len(topology.pairs)
 
 
 def _table(result):
@@ -45,7 +53,7 @@ def test_degenerate_sweep_equals_direct_mean(seed42_topology):
     result = run_sweep(spec)
     assert len(result.rows) == 1
     row = result.rows[0]
-    assert row.mean_loss_percent == mean_pair_loss_percent(seed42_topology, RadioParams(), 1000)
+    assert row.mean_loss_percent == _chain_mean_loss(seed42_topology, RadioParams(), 1000)
     assert row.std_loss_percent == 0.0
 
 
@@ -138,7 +146,7 @@ def test_count_sweep_exhaustive_pairing():
     result = run_sweep(spec)
     topo = generate_topology(11, 2, spec.area, 2)
     assert set(topo.pairs) == {(0, 1), (1, 0)}
-    assert result.rows[0].mean_loss_percent == mean_pair_loss_percent(topo, RadioParams(), 1000)
+    assert result.rows[0].mean_loss_percent == _chain_mean_loss(topo, RadioParams(), 1000)
 
 
 def test_count_sweep_argument_errors():
@@ -209,7 +217,7 @@ def test_replicates_spread_statistics():
     result = run_sweep(spec)
     row = result.rows[0]
     losses = [
-        mean_pair_loss_percent(generate_topology(42 + r, 20, AreaSpec(1500.0, 1500.0), 10), RadioParams(), 1000)
+        _chain_mean_loss(generate_topology(42 + r, 20, AreaSpec(1500.0, 1500.0), 10), RadioParams(), 1000)
         for r in range(3)
     ]
     assert row.mean_loss_percent == pytest.approx(sum(losses) / 3, rel=1e-12)
@@ -228,7 +236,7 @@ def _exact_std(values):
 
 
 def _reference_sweep(spec):
-    """The per-cell loop: mean_pair_loss_percent per replicate topology, then the exact mean and std."""
+    """The per-cell loop: the scalar chain's pair-mean loss per replicate topology, then the exact mean and std."""
     rows = []
     for value in spec.axis_values:
         radio, num_uavs, area = spec.radio, spec.num_uavs, spec.area
@@ -244,7 +252,7 @@ def _reference_sweep(spec):
             generate_topology(spec.base_seed + r, num_uavs, area, spec.num_pairs) for r in range(spec.replicates)
         ]
         for size in spec.packet_sizes:
-            losses = [mean_pair_loss_percent(t, radio, size) for t in topologies]
+            losses = [_chain_mean_loss(t, radio, size) for t in topologies]
             rows.append(SweepRow(float(value), size, _exact_mean(losses), _exact_std(losses)))
     return SweepResult(spec, tuple(rows))
 
@@ -301,9 +309,9 @@ def test_mean_of_negative_zeros_is_positive_zero_as_in_numpy():
     assert _mean(values).hex() == _exact_mean(values).hex() == float(np.mean(values)).hex() == "0x0.0p+0"
 
 
-def test_pair_mean_losses_equal_mean_pair_loss_at_each_size(seed42_topology):
+def test_pair_mean_losses_equal_the_scalar_chain_at_each_size(seed42_topology):
     dists = [distance(seed42_topology, src, dst) for src, dst in seed42_topology.pairs]
     radio = RadioParams(tx_power_dbm=5.0)
     sizes = (1, 10, 100, 1000, 10000, 65536)
     losses = pair_mean_losses_percent(dists, radio, sizes)
-    assert losses == [mean_pair_loss_percent(seed42_topology, radio, size) for size in sizes]
+    assert losses == [_chain_mean_loss(seed42_topology, radio, size) for size in sizes]
