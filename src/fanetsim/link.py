@@ -115,12 +115,20 @@ def ber_from_snr(snr_linear: float, model: BerModel = BerModel.EXP_HALF_SNR) -> 
 
 
 def packet_loss_prob(ber: float, packet_size_bits: int) -> float:
-    """Probability that at least one of packet_size_bits i.i.d. bits is corrupted."""
+    """Probability that at least one of packet_size_bits i.i.d. bits is corrupted.
+
+    1 - (1 - ber)^bits is taken as -expm1(bits * log1p(-ber)), which keeps
+    its relative accuracy at tiny BER, where 1 - ber rounds away most of
+    ber's digits (Higham, Accuracy and Stability of Numerical Algorithms,
+    1.14.1). A 1-bit packet, and a BER of 1, lose exactly ber.
+    """
     if not 0.0 <= ber <= 1.0:
         raise ValueError("ber must lie in [0, 1]")
     if not isinstance(packet_size_bits, int) or packet_size_bits < 1:
         raise ValueError("packet_size_bits must be an integer >= 1")
-    return 1.0 - (1.0 - ber) ** packet_size_bits
+    if packet_size_bits == 1 or ber == 1.0:
+        return ber
+    return -math.expm1(packet_size_bits * math.log1p(-ber))
 
 
 def _budget(distance_m: float, radio: RadioParams) -> tuple[float, float, float, float]:
@@ -166,24 +174,29 @@ def pair_mean_losses_percent(distances: list[float], radio: RadioParams, sizes: 
     noise_dbm = radio.noise_floor_dbm
     # ber_from_snr's two models; dividing by 1.0 is exact.
     snr_divisor = 2.0 if radio.ber_model is BerModel.EXP_HALF_SNR else 1.0
-    log10, exp = math.log10, math.exp
+    log10, exp, expm1, log1p = math.log10, math.exp, math.expm1, math.log1p
     bers = []
     for d in distances:
         ratio = wavelength / (four_pi * d) if d > 0 else 0.0
         rx_mw = tx_mw * (ratio * ratio)
         try:
             snr_linear = 10.0 ** ((10.0 * log10(rx_mw) - noise_dbm) / 10.0)
+            ber = 0.5 * exp(-snr_linear / snr_divisor)
         except (ValueError, OverflowError):
-            bers.append(_budget(d, radio)[3])
-            continue
-        bers.append(0.5 * exp(-snr_linear / snr_divisor))
+            ber = _budget(d, radio)[3]
+        bers.append(ber)
+    log_qs = [log1p(-ber) for ber in bers]  # packet_loss_prob's log1p(-ber), once per pair
     n = len(bers)
     if all(isinstance(size, int) and size >= 1 for size in sizes):
         means = []
         for size in sizes:
             total = 0.0
-            for ber in bers:
-                total += (1.0 - (1.0 - ber) ** size) * 100.0
+            if size == 1:
+                for ber in bers:
+                    total += ber * 100.0
+            else:
+                for log_q in log_qs:
+                    total += -expm1(size * log_q) * 100.0
             means.append(total / n)
         if all(mean == mean for mean in means):  # a NaN radio field or distance gives a NaN BER
             return means

@@ -132,7 +132,8 @@ def test_half_snr_model_dominates_full_snr_model():
 def test_packet_loss_examples():
     assert packet_loss_prob(0.0, 12345) == 0.0
     assert packet_loss_prob(0.5, 1) == 0.5
-    # independent route: 1 - (1-b)^n = -expm1(n * log1p(-b))
+    assert packet_loss_prob(1.0, 10) == 1.0
+    # the log1p/expm1 route that packet_loss_prob takes; the mpmath tests below check its accuracy
     expected = -math.expm1(1000 * math.log1p(-1e-3))
     assert packet_loss_prob(1e-3, 1000) == pytest.approx(expected, rel=1e-12)
     assert packet_loss_prob(1e-3, 1000) == pytest.approx(0.63230, abs=1e-5)
@@ -143,6 +144,16 @@ def test_packet_loss_single_bit_identity():
     for _ in range(200):
         ber = picker.uniform(0.0, 1.0)
         assert packet_loss_prob(ber, 1) == ber
+
+
+@pytest.mark.parametrize("ber", [1e-12, 1e-15, 1e-17])
+@pytest.mark.parametrize("packet_size", [2, 1000, 20000])
+def test_packet_loss_relative_error_at_tiny_ber(ber, packet_size):
+    # 1 - (1 - ber)^1000 was off by 2.2e-5 at 1e-12 and 8e-4 at 1e-15, and returned exactly 0 at 1e-17.
+    with mpmath.workdps(60):
+        exact = 1 - (1 - mpmath.mpf(ber)) ** packet_size
+        relative_error = abs((mpmath.mpf(packet_loss_prob(ber, packet_size)) - exact) / exact)
+    assert relative_error <= 4 * 2.0**-53
 
 
 def test_packet_loss_union_bound():
